@@ -141,8 +141,8 @@ class QueryAdmission:
     def try_admit(self, n_queries: int) -> bool:
         """Admit a batch of ``n_queries`` if budget remains; count either way.
 
-        Admission is all-or-nothing per batch so a sharded serve never mixes
-        full and degraded answers within one call.
+        Admission is all-or-nothing per batch so an ensemble serve never
+        mixes full and degraded answers within one call.
         """
         if self._used + n_queries <= self.max_queries_per_phase:
             self._used += n_queries

@@ -75,7 +75,7 @@ def build_cover(
     CoverageError
         If some index is uncovered and extrapolation is disabled.
     """
-    wanted = np.unique(np.fromiter((int(i) for i in indices), dtype=np.int64))
+    wanted = np.unique(np.fromiter(indices, dtype=np.int64))
     cover = Cover()
     # A node's segment is a contiguous index range, so against the sorted
     # index array each scan step is two binary searches plus a mask slice

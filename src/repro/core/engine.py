@@ -1,31 +1,28 @@
 """Query engine: plan-cached, batch-vectorized serving over one SWAT.
 
-The write side of the reproduction ingests ~13M arrivals/s through the
-batched cascade, but the scalar read path re-ran the greedy cover search,
-per-node index arithmetic, and a ``unique``/``searchsorted`` scatter on
-*every* query.  :class:`QueryEngine` amortizes all of that across queries:
+Every SWAT query is a compiled :class:`~repro.core.plan.QueryPlan`;
+:meth:`Swat.answer <repro.core.swat.Swat.answer>` compiles one per call.
+:class:`QueryEngine` amortizes the compile — the greedy cover search and the
+index→position arithmetic — across queries:
 
-* **Compiled plans** (:mod:`repro.core.plan`): the cover structure for a
-  fixed index set repeats every ``2^{L-1}`` arrivals, so plans are compiled
-  once per ``(indices, phase)`` and revalidated with a handful of integer
-  comparisons.  A cache hit turns a query into pure NumPy gathers.
+* **Plan cache**: the cover structure for a fixed index set repeats every
+  ``2^{L-1}`` arrivals, so plans are compiled once per ``(indices, phase)``
+  and revalidated with a handful of integer comparisons.  A cache hit turns
+  a query into pure NumPy gathers.  A cold (not yet warm) tree's cover is
+  not a function of the phase, so its plans are compiled uncached.
 * **Shared reconstructions**: gathers read ``SwatNode.reconstruct()``, whose
   memo is keyed by the node's ``version`` counter — each touched node is
   inverse-transformed at most once per refresh no matter how many queries
   (or engines) touch it between ticks.
 * **Batched evaluation**: :meth:`answer_batch` groups queries by index set,
   materializes each group's estimate vector once, and reduces every query's
-  inner product against that shared vector.  Reductions run in the exact
-  order of the scalar path (one ``np.dot(weights, est)`` per query over the
-  full vector), so batch answers are **bit-identical** to sequential
-  :meth:`Swat.answer` — enforced by ``tests/test_query_engine.py``.
+  inner product against that shared vector with the same
+  ``np.dot(weights, est)`` as :meth:`Swat.answer`, so batch answers are
+  **bit-identical** to sequential ``Swat.answer`` calls — enforced by
+  ``tests/test_query_engine.py``.
 
-The fast path engages for Haar trees with dense first-``k`` selection and no
-deviation tracking; generic wavelets, largest-``k`` trees, deviation-tracked
-trees, and cold (not yet warm) trees fall back to the scalar path with
-identical results.  Engines are cheap (a dict of plans) — make one per
-serving thread or stream; :class:`~repro.core.multi.StreamEnsemble` shards
-them across a thread pool.
+Engines are cheap (a dict of plans); :class:`~repro.core.multi.StreamEnsemble`
+keeps one per stream.
 """
 
 from __future__ import annotations
@@ -60,18 +57,10 @@ class QueryEngine:
         The summary to serve from.  The engine holds a reference, not a
         copy: interleaving ``tree.extend`` with engine queries is the
         intended usage, and plan/reconstruction invalidation keeps answers
-        bit-identical to the scalar path throughout.
+        bit-identical to :meth:`Swat.answer` throughout.
     max_plans:
         Plan-cache capacity; least-recently-used plans are evicted beyond
         it.
-    instrument:
-        When False the engine never touches the global metrics registry or
-        causal tracer.  Required when the engine is driven from a worker
-        thread (registry/tracer mutation is not thread-safe); the sharded
-        :class:`~repro.core.multi.StreamEnsemble` serving path creates its
-        engines this way and records per-shard metrics from the main thread
-        instead.  Local counters (``hits``/``misses``/``fallbacks``) still
-        update.
 
     Attributes
     ----------
@@ -79,23 +68,15 @@ class QueryEngine:
         Plan-cache counters (mirrored into ``query.plan_cache.{hit,miss}``
         when :mod:`repro.obs` is enabled).
     fallbacks:
-        Queries answered by the scalar path (generic wavelets, cold trees).
+        Plans compiled uncached because the tree was not yet warm.
     """
 
-    def __init__(
-        self,
-        tree: Swat,
-        max_plans: int = DEFAULT_MAX_PLANS,
-        *,
-        instrument: bool = True,
-    ) -> None:
+    def __init__(self, tree: Swat, max_plans: int = DEFAULT_MAX_PLANS) -> None:
         if max_plans < 1:
             raise ValueError("max_plans must be >= 1")
         self.tree = tree
         self.max_plans = int(max_plans)
-        self.instrument = bool(instrument)
         self._plans: "OrderedDict[Tuple[Hashable, int], QueryPlan]" = OrderedDict()
-        self._fast_ok = self._fast_path_ok(tree)
         # Warmth is monotonic (nodes never unfill), so one successful check
         # amortizes to an attribute read.
         self._warm = False
@@ -107,7 +88,7 @@ class QueryEngine:
         self.hits = 0
         self.misses = 0
         self.fallbacks = 0
-        self.causal = causal_mod.current_causal() if self.instrument else None
+        self.causal = causal_mod.current_causal()
 
     # ------------------------------------------------------------- plan cache
 
@@ -125,16 +106,6 @@ class QueryEngine:
         """Drop every compiled plan (they recompile on demand)."""
         self._plans.clear()
 
-    @staticmethod
-    def _fast_path_ok(tree: Swat) -> bool:
-        # Haar + dense first-k is the compiled kernel; deviation tracking
-        # needs the scalar path's certified-bound cover walk.
-        return (
-            tree.wavelet in ("haar", "db1")
-            and tree.selection == "first"
-            and not tree.track_deviation
-        )
-
     def _sync_tree(self) -> None:
         """Invalidate everything if the tree was restored or swapped.
 
@@ -150,16 +121,15 @@ class QueryEngine:
             self._seen_epoch = tree.epoch
             self._plans.clear()
             self._warm = False
-            self._fast_ok = self._fast_path_ok(tree)
 
     def _plan_for(
         self,
         shape_key: Hashable,
         indices: Sequence[int],
         parent: Optional[TraceContext] = None,
-    ) -> Optional[QueryPlan]:
-        """Cached-or-compiled plan for ``indices``; None while the tree is
-        cold (the scalar path handles partially filled trees).
+    ) -> QueryPlan:
+        """Cached-or-compiled plan for ``indices``; compiled uncached (and
+        counted in :attr:`fallbacks`) while the tree is cold.
 
         ``shape_key`` is any hashable that uniquely identifies the index
         sequence — the tuple itself for queries, ``(dtype, bytes)`` for
@@ -169,19 +139,20 @@ class QueryEngine:
         tree = self.tree
         if not self._warm:
             if not tree.is_warm:
-                return None
+                self.fallbacks += 1
+                return compile_plan(tree, indices)
             self._warm = True
         key = (shape_key, tree.phase)
         plan = self._plans.get(key)
         if plan is not None and plan.matches(tree):
             self._plans.move_to_end(key)
             self.hits += 1
-            if self.instrument and obs.ENABLED:
+            if obs.ENABLED:
                 obs.counter("query.plan_cache.hit").inc()
             return plan
         _t0 = (
             time.perf_counter()
-            if (self.instrument and obs.ENABLED) or self.causal is not None
+            if obs.ENABLED or self.causal is not None
             else None
         )
         plan = compile_plan(tree, indices)
@@ -190,7 +161,7 @@ class QueryEngine:
         while len(self._plans) > self.max_plans:
             self._plans.popitem(last=False)
         self.misses += 1
-        if self.instrument and obs.ENABLED and _t0 is not None:
+        if obs.ENABLED and _t0 is not None:
             obs.counter("query.plan_cache.miss").inc()
             obs.histogram("query.plan_compile.latency").observe(
                 time.perf_counter() - _t0
@@ -203,55 +174,25 @@ class QueryEngine:
 
     # -------------------------------------------------------------- evaluation
 
-    def _evaluate(self, plan: QueryPlan) -> np.ndarray:
-        """Estimates for the plan's indices — pure gathers, no cover work."""
-        tree = self.tree
-        out = np.empty(len(plan.indices), dtype=np.float64)
-        if plan.raw_out.size:
-            d0 = tree.raw_leaf(0)
-            d1 = tree.raw_leaf(1) if tree.raw_leaf_count() > 1 else 0.0
-            out[plan.raw_out] = np.where(plan.raw_which == 0, d0, d1)
-        wavelet = tree.wavelet
-        for step in plan.steps:
-            signal = tree.node(step.level, step.role).reconstruct(wavelet)
-            out[step.out] = signal[step.positions]
-        return out
-
     def estimates(self, indices: Sequence[int]) -> np.ndarray:
         """Approximate values for window indices (plan-cached twin of
-        :meth:`Swat.estimates`; duplicates fan out like the scalar path)."""
+        :meth:`Swat.estimates`; duplicates fan out to every slot)."""
         self._sync_tree()
-        if not self._fast_ok:
-            self.fallbacks += 1
-            return self.tree.estimates(indices)
         key: Hashable
         if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
             key = (indices.dtype.str, indices.tobytes())
         else:
             key = tuple(int(i) for i in indices)
-        plan = self._plan_for(key, indices)
-        if plan is None:
-            self.fallbacks += 1
-            return self.tree.estimates(indices)
-        return self._evaluate(plan)
+        return self._plan_for(key, indices).evaluate(self.tree)
 
     def answer(self, query: InnerProductQuery) -> QueryAnswer:
         """Plan-cached twin of :meth:`Swat.answer` — bit-identical answers."""
         self._sync_tree()
-        if not self._fast_ok:
-            self.fallbacks += 1
-            return self.tree.answer(query)
+        tree = self.tree
         plan = self._plan_for(query.indices, query.indices)
-        if plan is None:
-            self.fallbacks += 1
-            return self.tree.answer(query)
-        est = self._evaluate(plan)
-        value = float(np.dot(np.asarray(query.weights, dtype=np.float64), est))
-        if self.instrument and obs.ENABLED:
+        if obs.ENABLED:
             obs.counter("swat.queries").inc()
-        return QueryAnswer(
-            value, est, plan.nodes_used(self.tree), plan.n_extrapolated, None
-        )
+        return QueryAnswer.from_plan(tree, plan, query.weights, plan.evaluate(tree))
 
     def answer_batch(
         self, queries: Iterable[InnerProductQuery]
@@ -260,16 +201,17 @@ class QueryEngine:
 
         Queries are grouped by index set; each group's estimate vector is
         materialized once and every member reduces its inner product against
-        it with the scalar path's own ``np.dot`` — answers are bit-identical
-        to calling :meth:`answer` (and :meth:`Swat.answer`) sequentially.
-        ``QueryAnswer.estimates`` arrays are shared within a group; copy
-        before mutating.
+        it with :meth:`Swat.answer`'s own ``np.dot`` — answers are
+        bit-identical to calling :meth:`answer` (and :meth:`Swat.answer`)
+        sequentially.  ``QueryAnswer.estimates`` arrays are shared within a
+        group; copy before mutating.
         """
         self._sync_tree()
+        tree = self.tree
         batch = list(queries)
         _t0 = (
             time.perf_counter()
-            if (self.instrument and obs.ENABLED) or self.causal is not None
+            if obs.ENABLED or self.causal is not None
             else None
         )
         root = (
@@ -280,13 +222,6 @@ class QueryEngine:
             else None
         )
         ctx = root.context if root is not None else None
-        if not self._fast_ok:
-            self.fallbacks += len(batch)
-            # Sanctioned scalar fallback: generic wavelets / largest-k /
-            # deviation tracking have no compiled kernel (REP011's exemption).
-            answers = [self.tree.answer(q) for q in batch]  # repro: ignore[REP011]
-            self._finish_batch(root, _t0, len(batch))
-            return answers
         # Group by index set, preserving first-seen order; one plan + one
         # estimate vector per group no matter how many weightings ride on it.
         groups: "OrderedDict[Tuple[int, ...], List[int]]" = OrderedDict()
@@ -296,26 +231,17 @@ class QueryEngine:
         _te = time.perf_counter() if self.causal is not None and _t0 is not None else None
         for indices, members in groups.items():
             plan = self._plan_for(indices, indices, parent=ctx)
-            if plan is None:
-                self.fallbacks += len(members)
-                for qi in members:
-                    answers_out[qi] = self.tree.answer(batch[qi])  # repro: ignore[REP011]
-                continue
-            est = self._evaluate(plan)
-            nodes = plan.nodes_used(self.tree)
+            est = plan.evaluate(tree)
+            nodes = plan.nodes_used(tree)
             for qi in members:
-                query = batch[qi]
-                value = float(
-                    np.dot(np.asarray(query.weights, dtype=np.float64), est)
-                )
-                answers_out[qi] = QueryAnswer(
-                    value, est, nodes, plan.n_extrapolated, None
+                answers_out[qi] = QueryAnswer.from_plan(
+                    tree, plan, batch[qi].weights, est, nodes
                 )
         if self.causal is not None and _te is not None:
             self.causal.start_span(
                 "engine.evaluate", at=_te, site="engine", parent=ctx
             ).finish(time.perf_counter(), groups=len(groups))
-        if self.instrument and obs.ENABLED:
+        if obs.ENABLED:
             obs.counter("swat.queries").inc(len(batch))
         self._finish_batch(root, _t0, len(batch))
         # Every slot is filled: each query index lands in exactly one group.
@@ -327,7 +253,7 @@ class QueryEngine:
         t0: Optional[float],
         size: int,
     ) -> None:
-        if self.instrument and obs.ENABLED and t0 is not None:
+        if obs.ENABLED and t0 is not None:
             obs.histogram("query.batch_size", buckets=obs.BATCH_BUCKETS).observe(size)
             obs.histogram("query.batch.latency").observe(time.perf_counter() - t0)
         if root is not None:

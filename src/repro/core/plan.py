@@ -1,6 +1,18 @@
-"""Compiled query plans: reusable cover sets keyed by the tree's phase.
+"""Compiled query plans: the one implementation of Figure 3(b)'s query.
 
-For a *warm* :class:`~repro.core.swat.Swat` the cover set chosen by
+Every SWAT answer is a plan.  :func:`compile_plan` runs the cover search
+(:meth:`Swat.cover <repro.core.swat.Swat.cover>`) and freezes its outcome
+as a :class:`QueryPlan`: which output slots are served by the raw leaves
+``d_0``/``d_1``, and for every cover node the positions to gather from its
+reconstructed segment plus the output slots they land in.
+:meth:`QueryPlan.evaluate` is then pure gathers from per-node
+reconstructions that are themselves memoized by
+:attr:`~repro.core.node.SwatNode.version`.  :meth:`Swat.estimates
+<repro.core.swat.Swat.estimates>` and :meth:`Swat.answer
+<repro.core.swat.Swat.answer>` compile and evaluate on every call;
+:class:`~repro.core.engine.QueryEngine` adds an LRU of plans.
+
+Caching is sound because, for a *warm* tree, the cover chosen by
 :func:`~repro.core.coverage.build_cover` is a pure function of the tree's
 **phase** — the arrival clock modulo ``2^{L-1}`` (the refresh period of the
 coarsest maintained level).  Level ``l``'s ``R`` node always ends at the most
@@ -8,16 +20,7 @@ recent multiple of ``2^l``, so every node's window-relative segment, and
 therefore the ``(level, role)`` pairs the greedy scan picks for a fixed index
 set, repeats exactly every ``2^{L-1}`` arrivals.
 
-A :class:`QueryPlan` freezes that structure once: which output slots are
-served by the raw leaves ``d_0``/``d_1``, and for every cover node the
-positions to gather from its reconstructed segment plus the output slots they
-land in.  Evaluating a plan (see :class:`~repro.core.engine.QueryEngine`)
-skips the cover search, the per-node index arithmetic, and the
-``unique``/``searchsorted`` scatter of the scalar path — it is pure gathers
-from per-node reconstructions that are themselves memoized by
-:attr:`~repro.core.node.SwatNode.version`.
-
-Two layers of invalidation keep plans sound:
+Two layers of invalidation keep cached plans sound:
 
 * **structure** — :meth:`QueryPlan.matches` re-checks, per referenced node,
   that the node is filled and sits at the window offset recorded at compile
@@ -28,21 +31,20 @@ Two layers of invalidation keep plans sound:
   counter (bumped on every ``set_contents``/``copy_from``), so a refresh
   between two evaluations of the same plan is picked up automatically.
 
-Plans are compiled by replaying the scalar query path (:meth:`Swat.cover` +
-the ``_extract`` position arithmetic) — evaluation is bit-identical to
-:meth:`Swat.answer` by construction, which the Hypothesis suite in
-``tests/test_query_engine.py`` enforces.
+The Hypothesis suites check plans against the textbook per-index walk in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+import itertools
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .node import SwatNode
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Swat imports queries)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Swat imports plan)
     from .swat import Swat
 
 __all__ = ["PlanStep", "QueryPlan", "compile_plan", "phase_of"]
@@ -144,6 +146,42 @@ class QueryPlan:
         """The live cover nodes, in scan order (for ``QueryAnswer`` diagnostics)."""
         return [tree.node(step.level, step.role) for step in self.steps]
 
+    def evaluate(self, tree: "Swat") -> np.ndarray:
+        """Estimates for the plan's indices — pure gathers, no cover work."""
+        out = np.empty(len(self.indices), dtype=np.float64)
+        if self.raw_out.size:
+            # Window indices 0/1 are the raw leaves d_0 / d_1 of Figure 3(a).
+            d0 = tree.raw_leaf(0)
+            d1 = tree.raw_leaf(1) if tree.raw_leaf_count() > 1 else 0.0
+            out[self.raw_out] = np.where(self.raw_which == 0, d0, d1)
+        wavelet = tree.wavelet
+        for step in self.steps:
+            signal = tree.node(step.level, step.role).reconstruct(wavelet)
+            out[step.out] = signal[step.positions]
+        return out
+
+    def error_bound(self, tree: "Swat", weights: np.ndarray) -> Optional[float]:
+        """Certified bound on ``|true - weights . estimates|``, or None when
+        the tree does not track deviations.
+
+        Each cover node's ``deviation`` bounds every point error in its
+        segment, so the bound is ``sum |w| * deviation`` over the cover
+        slots (raw-leaf slots are exact).  It is infinite when any index was
+        extrapolated or a cover node carries no deviation.
+        """
+        if not tree.track_deviation:
+            return None
+        if self.n_extrapolated:
+            return float("inf")
+        abs_w = np.abs(weights)
+        bound = 0.0
+        for step in self.steps:
+            deviation = tree.node(step.level, step.role).deviation
+            if deviation is None:
+                return float("inf")
+            bound += deviation * float(abs_w[step.out].sum())
+        return bound
+
     def __repr__(self) -> str:
         return (
             f"QueryPlan(n_indices={len(self.indices)}, phase={self.phase}, "
@@ -152,14 +190,17 @@ class QueryPlan:
 
 
 def compile_plan(tree: "Swat", indices: Sequence[int]) -> QueryPlan:
-    """Compile the cover for ``indices`` against the tree's current phase.
+    """Compile the cover for ``indices`` against the tree's current state.
 
-    Replays the scalar query decomposition exactly — raw-leaf short-circuit,
-    greedy cover, per-node position arithmetic, extrapolation clamping — so
-    evaluating the result gathers the very same floats ``Swat._estimate``
-    would produce.
+    Indices below :meth:`~repro.core.swat.Swat.raw_leaf_count` are served
+    by the raw leaves; the rest go through one greedy cover over their
+    distinct values, and each value's segment position (clamped to the
+    nearest segment end when a reduced or settling tree extrapolates) fans
+    back out to every query slot that asked for it.
     """
-    idx = np.asarray(list(indices), dtype=np.int64).reshape(-1)
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     bad_mask = (idx < 0) | (idx >= tree.size)
     if bool(bad_mask.any()):
         bad = [int(i) for i in idx[bad_mask]]
@@ -169,55 +210,58 @@ def compile_plan(tree: "Swat", indices: Sequence[int]) -> QueryPlan:
         )
     now = tree.time
     slots = np.arange(idx.size, dtype=np.int64)
-    n_raw = tree.raw_leaf_count()
-    raw_mask = idx < n_raw
-    raw_out = slots[raw_mask]
-    raw_which = idx[raw_mask]
+    raw_mask = idx < tree.raw_leaf_count()
     steps: List[PlanStep] = []
     n_extrapolated = 0
-    rest_mask = ~raw_mask
-    if bool(rest_mask.any()):
-        remaining = idx[rest_mask]
-        remaining_slots = slots[rest_mask]
-        cover = tree.cover([int(i) for i in remaining])
-        extrapolated = (
-            np.asarray(cover.extrapolated, dtype=np.int64)
-            if cover.extrapolated
-            else None
+    rest_slots = slots[~raw_mask]
+    if rest_slots.size:
+        uniq, inv = np.unique(idx[rest_slots], return_inverse=True)
+        cover = tree.cover(uniq.tolist())
+        nodes = list(cover.assignments)
+        counts = [len(a) for a in cover.assignments.values()]
+        # Every distinct index, in cover order, with its node's newest window
+        # index and segment length alongside.
+        assigned = np.fromiter(
+            itertools.chain.from_iterable(cover.assignments.values()),
+            dtype=np.int64,
+            count=uniq.size,
         )
-        # Window index -> output slots; duplicates fan out to every slot.
-        for node, assigned in cover.assignments.items():
-            a_idx = np.asarray(assigned, dtype=np.int64)
-            lo, _hi = node.relative_segment(now)
-            pos = node.segment_length - 1 - (a_idx - lo)
-            if extrapolated is not None:
-                ex = np.isin(a_idx, extrapolated)
-                pos = np.where(
-                    ex, np.where(a_idx < lo, node.segment_length - 1, 0), pos
-                )
-            # The cover assigned *unique* indices; expand to every occurrence
-            # in the query's index list so evaluation is one gather+scatter.
-            occ_pos: List[int] = []
-            occ_out: List[int] = []
-            for j, i in enumerate(a_idx):
-                hits = remaining_slots[remaining == i]
-                occ_out.extend(int(s) for s in hits)
-                occ_pos.extend([int(pos[j])] * hits.size)
+        lo = np.repeat([now - node.end_time for node in nodes], counts)
+        length = np.repeat([node.segment_length for node in nodes], counts)
+        pos = length - 1 - (assigned - lo)
+        if cover.extrapolated:
+            # Clamp to the nearest end of the node's segment.
+            ex = np.isin(assigned, cover.extrapolated)
+            pos = np.where(ex, np.where(assigned < lo, length - 1, 0), pos)
+        # Into distinct-index order, then fanned out to every query slot.
+        at = np.searchsorted(uniq, assigned)
+        step_of = np.empty(uniq.size, dtype=np.int64)
+        step_of[at] = np.repeat(np.arange(len(nodes)), counts)
+        pos_of = np.empty(uniq.size, dtype=np.int64)
+        pos_of[at] = pos
+        occ_step = step_of[inv]
+        occ_pos = pos_of[inv]
+        # Group the slots by cover node (query order within a node) so
+        # evaluation is one gather + scatter per node.
+        order = np.argsort(occ_step, kind="stable")
+        ends = np.cumsum(np.bincount(occ_step, minlength=len(nodes))).tolist()
+        for node, start, end in zip(nodes, [0] + ends, ends):
+            occ = order[start:end]
             steps.append(
                 PlanStep(
                     node.level,
                     node.role,
                     now - node.end_time,
-                    np.asarray(occ_pos, dtype=np.int64),
-                    np.asarray(occ_out, dtype=np.int64),
+                    occ_pos[occ],
+                    rest_slots[occ],
                 )
             )
         n_extrapolated = len(cover.extrapolated)
     return QueryPlan(
-        tuple(int(i) for i in idx),
+        tuple(idx.tolist()),
         phase_of(tree),
         tuple(steps),
-        raw_out,
-        raw_which,
+        slots[raw_mask],
+        idx[raw_mask],
         n_extrapolated,
     )

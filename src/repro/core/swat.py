@@ -48,6 +48,7 @@ from ..wavelets.transform import full_decompose, is_power_of_two, truncate
 from .coverage import Cover, build_cover
 from .errors import require_finite
 from .node import Role, SwatNode
+from .plan import QueryPlan, compile_plan
 from .queries import InnerProductQuery, RangeQuery
 
 __all__ = ["Swat", "QueryAnswer"]
@@ -86,6 +87,26 @@ class QueryAnswer:
         # Certified bound on |true - value| (only when the tree tracks
         # per-node deviations); None when not tracked.
         self.error_bound = error_bound
+
+    @classmethod
+    def from_plan(
+        cls,
+        tree: "Swat",
+        plan: QueryPlan,
+        weights: Sequence[float],
+        est: np.ndarray,
+        nodes: Optional[List[SwatNode]] = None,
+    ) -> "QueryAnswer":
+        """The answer ``plan`` gives for ``weights``, given its evaluated
+        estimates ``est`` (and, optionally, its already-resolved nodes)."""
+        w = np.asarray(weights, dtype=np.float64)
+        return cls(
+            float(np.dot(w, est)),
+            est,
+            plan.nodes_used(tree) if nodes is None else nodes,
+            plan.n_extrapolated,
+            plan.error_bound(tree, w),
+        )
 
     def __float__(self) -> float:
         return float(self.value)
@@ -730,10 +751,11 @@ class Swat:
     def cover(self, indices: Iterable[int]) -> Cover:
         """Cover set ``V`` for the given window indices (Figure 3(b), first loop)."""
         wanted = list(indices)
-        bad = [i for i in wanted if not 0 <= i < self.size]
+        size = self.size
+        bad = [i for i in wanted if not 0 <= i < size]
         if bad:
             raise IndexError(
-                f"window indices {bad} out of range [0, {self.size - 1}] "
+                f"window indices {bad} out of range [0, {size - 1}] "
                 f"(stream has seen {self._time} values)"
             )
         return build_cover(
@@ -751,76 +773,10 @@ class Swat:
 
         Indices 0 and 1 are served exactly from the raw leaves ``R_{-1}`` and
         ``L_{-1}`` when ``use_raw_leaves`` is on; everything else comes from
-        the cover set's inverse transforms.
+        the cover set's inverse transforms (a compiled, uncached
+        :class:`~repro.core.plan.QueryPlan`).
         """
-        values, __, __ = self._estimate(list(indices))
-        return values
-
-    def _estimate(self, indices: List[int]) -> Tuple[np.ndarray, List[SwatNode], int]:
-        """Estimates plus the cover diagnostics for the given indices."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        bad_mask = (idx < 0) | (idx >= self.size)
-        if bad_mask.any():
-            bad = [int(i) for i in idx[bad_mask]]
-            raise IndexError(
-                f"window indices {bad} out of range [0, {self.size - 1}] "
-                f"(stream has seen {self._time} values)"
-            )
-        values = np.empty(idx.size, dtype=np.float64)
-        n_raw = min(len(self._buffer), 2, self.size) if self.use_raw_leaves else 0
-        raw_mask = idx < n_raw
-        if n_raw:
-            # Window indices 0/1 are the raw leaves d_0 / d_1 of Figure 3(a).
-            d0 = self._buffer[-1]
-            d1 = self._buffer[-2] if n_raw > 1 else 0.0
-            values[raw_mask] = np.where(idx[raw_mask] == 0, d0, d1)
-        rest_mask = ~raw_mask
-        nodes_used: List[SwatNode] = []
-        n_extrapolated = 0
-        if bool(rest_mask.any()):
-            remaining = [int(i) for i in idx[rest_mask]]
-            cover = self.cover(remaining)
-            values[rest_mask] = self._extract(cover, idx[rest_mask])
-            nodes_used = cover.nodes
-            n_extrapolated = len(cover.extrapolated)
-        return values, nodes_used, n_extrapolated
-
-    def _raw_leaf_values(self, indices: Sequence[int]) -> Dict[int, float]:
-        """Exact values for indices covered by the raw leaves (d_0, d_1)."""
-        if not self.use_raw_leaves:
-            return {}
-        out: Dict[int, float] = {}
-        n_raw = min(len(self._buffer), 2, self.size)
-        for i in indices:
-            if 0 <= i < n_raw:
-                out[i] = self._buffer[-1 - i]
-        return out
-
-    def _extract(self, cover: Cover, indices: np.ndarray) -> np.ndarray:
-        """Per-index approximations from the cover, aligned with ``indices``.
-
-        Each node's assigned indices map to segment positions with one
-        vectorized expression (the segment is oldest-first, so window index
-        ``i`` sits at ``segment_length - 1 - (i - lo)``); extrapolated
-        indices clamp to the nearest segment end.  Results land in their
-        output slots via a searchsorted scatter — no per-index dict work.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        uniq, inv = np.unique(idx, return_inverse=True)
-        out = np.empty(uniq.size, dtype=np.float64)
-        now = self._time
-        extrapolated = cover.extrapolated
-        for node, assigned in cover.assignments.items():
-            signal = node.reconstruct(self.wavelet)
-            lo, _hi = node.relative_segment(now)
-            a_idx = np.asarray(assigned, dtype=np.int64)
-            pos = node.segment_length - 1 - (a_idx - lo)
-            if extrapolated:
-                ex = np.isin(a_idx, np.asarray(extrapolated, dtype=np.int64))
-                # Clamp to the nearest end of the node's segment.
-                pos = np.where(ex, np.where(a_idx < lo, node.segment_length - 1, 0), pos)
-            out[np.searchsorted(uniq, a_idx)] = signal[pos]
-        return out[inv]
+        return compile_plan(self, indices).evaluate(self)
 
     def answer(self, query: InnerProductQuery) -> QueryAnswer:
         """Answer an inner-product (or point) query approximately.
@@ -834,42 +790,21 @@ class Swat:
             if obs.ENABLED or self.causal is not None
             else None
         )
-        est, nodes_used, n_extrapolated = self._estimate(list(query.indices))
-        value = float(np.dot(np.asarray(query.weights, dtype=np.float64), est))
-        bound = None
-        if self.track_deviation:
-            bound = self._certified_bound(query, n_extrapolated)
+        plan = compile_plan(self, query.indices)
+        answer = QueryAnswer.from_plan(self, plan, query.weights, plan.evaluate(self))
         if obs.ENABLED and _t0 is not None:
             obs.counter("swat.queries").inc()
             obs.histogram("swat.query.cover_size", buckets=obs.COUNT_BUCKETS).observe(
-                len(nodes_used)
+                len(answer.nodes_used)
             )
-            if n_extrapolated:
-                obs.counter("swat.extrapolations").inc(n_extrapolated)
+            if answer.n_extrapolated:
+                obs.counter("swat.extrapolations").inc(answer.n_extrapolated)
             obs.histogram("swat.query.latency").observe(time.perf_counter() - _t0)
         if self.causal is not None and _t0 is not None:
             self.causal.start_span("swat.answer", at=_t0, site="swat").finish(
-                time.perf_counter(), cover=len(nodes_used)
+                time.perf_counter(), cover=len(answer.nodes_used)
             )
-        return QueryAnswer(value, est, nodes_used, n_extrapolated, bound)
-
-    def _certified_bound(self, query: InnerProductQuery, n_extrapolated: int) -> float:
-        """Sum of per-index deviations weighted by the query (inf if any
-        index had to be extrapolated — those carry no certificate)."""
-        if n_extrapolated:
-            return float("inf")
-        weights = dict(zip(query.indices, query.weights))
-        raw = self._raw_leaf_values(list(query.indices))
-        remaining = [i for i in query.indices if i not in raw]
-        bound = 0.0
-        if remaining:
-            cover = self.cover(remaining)
-            for node, assigned in cover.assignments.items():
-                if node.deviation is None:
-                    return float("inf")
-                for i in assigned:
-                    bound += weights[i] * node.deviation
-        return bound
+        return answer
 
     def can_answer(self, query: InnerProductQuery) -> bool:
         """True when the certified error bound meets the query precision."""

@@ -51,7 +51,7 @@ REP011    no per-query Python loops feeding ``<swat-like>.answer`` /
           ``sketches/``, ``network/``) — route repeated reads through
           ``QueryEngine.answer_batch``, which compiles the cover once per
           (shape, phase) and stays bit-identical (read-side mirror of
-          REP006; sanctioned scalar fallbacks carry a suppression)
+          REP006)
 REP012    no direct mutation of summary tuning state (``k``,
           ``min_level``, node ``coeffs`` / ``positions``) outside
           ``repro.control`` and ``repro.core.swat`` / ``repro.core.node``

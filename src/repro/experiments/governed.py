@@ -69,7 +69,7 @@ def _drive(
     """
     names = sorted(data)
     n_ticks = len(next(iter(data.values())))
-    ens = StreamEnsemble(window_size, k=k, serve_shards=1)
+    ens = StreamEnsemble(window_size, k=k)
     for name in names:
         ens.add_stream(name)
     if queue_capacity is not None:

@@ -10,10 +10,8 @@ after a warm-up interval, matching the paper's methodology.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -36,9 +34,7 @@ __all__ = [
     "ReplicationConfig",
     "ReplicationResult",
     "ReplicationDriver",
-    "ReplicationRun",
     "run_replication",
-    "run_replication_sharded",
     "make_protocol",
 ]
 
@@ -297,65 +293,3 @@ def run_replication(
         mean_query_hops=state.hops_sum / max(n_queries, 1),
         meta=meta,
     )
-
-
-@dataclass
-class ReplicationRun:
-    """One independent simulation for :func:`run_replication_sharded`.
-
-    ``factory`` constructs the protocol *inside* the worker so no driver
-    state is shared between shards; each run is the same deterministic
-    simulation it would be standalone (seeds live in ``config``).
-    """
-
-    factory: Callable[[], ReplicationDriver]
-    stream: np.ndarray
-    config: ReplicationConfig
-
-
-def run_replication_sharded(
-    runs: Sequence[ReplicationRun],
-    max_workers: Optional[int] = None,
-) -> List[ReplicationResult]:
-    """Run independent replication simulations across a thread pool.
-
-    Parallelism is across *runs* (protocol sweeps, seed sweeps), never
-    inside one event loop, so every run's message counts and errors are
-    bit-identical to a standalone :func:`run_replication` call.
-
-    The instrumented paths (metrics registry, causal tracer) are global and
-    not thread-safe, so when either is enabled the runs execute
-    sequentially — still through this API — and per-shard wall-clock
-    metrics (``replication.shard.latency``/``replication.shard.runs``) are
-    recorded from the calling thread.  With instrumentation off, shards
-    genuinely overlap.
-    """
-    if not runs:
-        return []
-    instrumented = obs.ENABLED or causal_mod.current_causal() is not None
-    workers = max_workers if max_workers is not None else min(4, len(runs))
-    workers = max(1, min(int(workers), len(runs)))
-    if instrumented:
-        workers = 1
-
-    def execute(run: ReplicationRun) -> Tuple[ReplicationResult, float, float]:
-        start = time.perf_counter()
-        result = run_replication(run.factory(), run.stream, run.config)
-        return result, start, time.perf_counter()
-
-    if workers == 1:
-        collected = [execute(run) for run in runs]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="replication-shard"
-        ) as pool:
-            collected = [f.result() for f in [pool.submit(execute, r) for r in runs]]
-    results: List[ReplicationResult] = []
-    for i, (result, start, end) in enumerate(collected):
-        result.meta["shard"] = i
-        result.meta["wall_seconds"] = end - start
-        if obs.ENABLED:
-            obs.counter("replication.shard.runs", shard=i).inc()
-            obs.histogram("replication.shard.latency", shard=i).observe(end - start)
-        results.append(result)
-    return results

@@ -33,6 +33,7 @@ from repro.persist import (
     plant_arrays,
     write_checkpoint,
 )
+from tests.reference import assert_reference_answer, reference_estimates
 
 
 # ------------------------------------------------------------- array lifting
@@ -79,8 +80,9 @@ class TestCheckpointFile:
         assert meta == {}
         q = exponential_query(32)
         assert restored.answer(q).value == tree.answer(q).value
+        assert_reference_answer(tree, q, restored.answer(q))
         assert np.array_equal(
-            restored.reconstruct_window(), tree.reconstruct_window()
+            restored.reconstruct_window(), reference_estimates(tree, range(tree.size))
         )
 
     def test_meta_round_trips(self, tmp_path):
@@ -168,7 +170,7 @@ class TestHypothesisRoundTrip:
             tree.update(float(v))
             restored.update(float(v))
         assert np.array_equal(
-            restored.reconstruct_window(), tree.reconstruct_window()
+            restored.reconstruct_window(), reference_estimates(tree, range(tree.size))
         )
         for a, b in zip(tree.nodes(), restored.nodes()):
             assert a.end_time == b.end_time
@@ -455,6 +457,7 @@ class TestEngineRestoreRegression:
         fresh = QueryEngine(tree).answer(q)
         assert engine.answer(q).value == fresh.value
         assert engine.answer(q).value == donor.answer(q).value
+        assert_reference_answer(donor, q, engine.answer(q))
 
     def test_warm_engine_batch_and_estimates_follow_restore(self):
         stream = uniform_stream(600, seed=5)
@@ -471,6 +474,7 @@ class TestEngineRestoreRegression:
         assert np.array_equal(
             engine.estimates(range(8)), QueryEngine(donor).estimates(range(8))
         )
+        assert np.array_equal(engine.estimates(range(8)), reference_estimates(donor, range(8)))
 
 
 class TestFromStateValidation:

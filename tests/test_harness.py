@@ -8,10 +8,8 @@ from repro.network.topology import Topology
 from repro.replication.harness import (
     PROTOCOLS,
     ReplicationConfig,
-    ReplicationRun,
     make_protocol,
     run_replication,
-    run_replication_sharded,
 )
 
 STREAM = santa_barbara_temps()
@@ -117,51 +115,3 @@ class TestRunReplication:
         p = make_protocol("SWAT-ASR", Topology.single_client(), 32, VR)
         result = run_replication(p, short, quick_config(data_period=0.25))
         assert result.n_arrivals > 100  # wrapped around
-
-
-class TestShardedRuns:
-    def _runs(self, protocols=("SWAT-ASR", "DC")):
-        return [
-            ReplicationRun(
-                lambda p=p: make_protocol(p, Topology.single_client(), 32, VR),
-                STREAM,
-                quick_config(),
-            )
-            for p in protocols
-        ]
-
-    def test_sharded_results_match_sequential(self):
-        reference = [
-            run_replication(
-                make_protocol(p, Topology.single_client(), 32, VR),
-                STREAM,
-                quick_config(),
-            )
-            for p in ("SWAT-ASR", "DC")
-        ]
-        sharded = run_replication_sharded(self._runs(), max_workers=2)
-        for want, got in zip(reference, sharded):
-            assert got.protocol == want.protocol
-            assert got.total_messages == want.total_messages
-            assert got.mean_abs_error == want.mean_abs_error
-            assert got.n_queries == want.n_queries
-            assert got.mean_query_hops == want.mean_query_hops
-
-    def test_shard_meta_attached(self):
-        results = run_replication_sharded(self._runs(), max_workers=2)
-        assert [r.meta["shard"] for r in results] == [0, 1]
-        assert all(r.meta["wall_seconds"] > 0 for r in results)
-
-    def test_empty_runs(self):
-        assert run_replication_sharded([]) == []
-
-    def test_instrumented_runs_degrade_to_sequential(self, obs_registry):
-        results = run_replication_sharded(self._runs(), max_workers=2)
-        assert len(results) == 2
-        snap = obs_registry.snapshot()
-        shard_runs = {
-            key: val
-            for key, val in snap["counters"].items()
-            if key.startswith("replication.shard.runs")
-        }
-        assert sum(shard_runs.values()) == 2

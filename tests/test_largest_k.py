@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Swat, exponential_query
+from repro.core import QueryEngine, Swat, exponential_query, linear_query
 from repro.data import uniform_stream
 from repro.wavelets.haar import (
     largest_coefficients,
@@ -14,6 +14,7 @@ from repro.wavelets.haar import (
     sparse_reconstruct,
 )
 from repro.wavelets.transform import full_decompose, reconstruct, truncate
+from tests.reference import assert_reference_answer, reference_estimates
 
 
 class TestSparsePrimitives:
@@ -106,6 +107,7 @@ class TestLargestKTree:
         a.extend(stream)
         b.extend(stream)
         assert np.allclose(a.reconstruct_window(), b.reconstruct_window())
+        assert np.array_equal(b.reconstruct_window(), reference_estimates(b, range(16)))
 
     def test_largest_k_wins_on_bursty_stream(self):
         """Occasional spikes are where top-k energy selection pays off."""
@@ -124,15 +126,22 @@ class TestLargestKTree:
     def test_queries_work(self):
         tree = Swat(64, k=4, selection="largest")
         tree.extend(uniform_stream(300, seed=3))
-        ans = tree.answer(exponential_query(16))
-        assert np.isfinite(ans.value)
+        engine = QueryEngine(tree)
+        for q in (exponential_query(16), linear_query(48, start=8)):
+            ans = tree.answer(q)
+            assert np.isfinite(ans.value)
+            assert_reference_answer(tree, q, ans)
+            assert_reference_answer(tree, q, engine.answer(q))
+        assert engine.fallbacks == 0
 
     def test_checkpoint_roundtrip_preserves_positions(self):
         tree = Swat(32, k=4, selection="largest")
         tree.extend(uniform_stream(150, seed=4))
         restored = Swat.from_state(tree.to_state())
         assert restored.selection == "largest"
-        assert np.allclose(restored.reconstruct_window(), tree.reconstruct_window())
+        assert np.array_equal(
+            restored.reconstruct_window(), reference_estimates(tree, range(32))
+        )
 
     def test_memory_budget_respected(self):
         tree = Swat(64, k=4, selection="largest")

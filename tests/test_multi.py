@@ -140,16 +140,18 @@ class TestCorrelation:
 
 
 class TestShardedServing:
-    def _filled(self, serve_shards=0, streams="abcde", window=32):
+    """Ensemble serving through one plan-cached engine per stream."""
+
+    def _filled(self, streams="abcde", window=32):
         rng = np.random.default_rng(11)
-        e = StreamEnsemble(window, k=3, serve_shards=serve_shards)
+        e = StreamEnsemble(window, k=3)
         for name in streams:
             e.add_stream(name)
         fill(e, {name: rng.normal(size=3 * window) for name in streams})
         return e
 
     def test_answer_all_bit_identical_to_scalar(self):
-        e = self._filled(serve_shards=3)
+        e = self._filled()
         q = InnerProductQuery((0, 4, 9, 17), (1.0, -0.5, 2.0, 0.25))
         out = e.answer_all(q)
         assert sorted(out) == e.streams
@@ -157,10 +159,9 @@ class TestShardedServing:
             want = e.tree(name).answer(q)
             assert answer.value == want.value
             assert np.array_equal(answer.estimates, want.estimates)
-        e.close()
 
     def test_answer_batch_partial_streams(self):
-        e = self._filled(serve_shards=2)
+        e = self._filled()
         batches = {
             "a": [point_query(i) for i in range(5)],
             "c": [point_query(i) for i in range(3)],
@@ -170,26 +171,23 @@ class TestShardedServing:
         for name, queries in batches.items():
             for got, want in zip(out[name], [e.tree(name).answer(q) for q in queries]):
                 assert got.value == want.value
-        e.close()
 
     def test_single_shard_runs_inline(self):
-        e = self._filled(serve_shards=1)
+        e = self._filled()
         out = e.answer_all(point_query(2))
         assert len(out) == 5
-        assert e._pool is None  # no pool for inline serving
-        e.close()
+        assert e.serve_shards == 1
+        assert StreamEnsemble(32, serve_shards=1).serve_shards == 1
 
     def test_unknown_stream_rejected(self):
         e = self._filled()
         with pytest.raises(KeyError):
             e.answer_batch({"nope": [point_query(0)]})
-        e.close()
 
     def test_empty_requests(self):
         e = self._filled()
         assert e.answer_batch({}) == {}
         assert StreamEnsemble(32).answer_all(point_query(0)) == {}
-        e.close()
 
     def test_remove_stream_drops_engine(self):
         e = self._filled()
@@ -197,13 +195,6 @@ class TestShardedServing:
         e.remove_stream("c")
         out = e.answer_all(point_query(1))
         assert sorted(out) == ["a", "b", "d", "e"]
-        e.close()
-
-    def test_context_manager_closes_pool(self):
-        with self._filled(serve_shards=2) as e:
-            e.answer_all(point_query(0))
-            assert e._pool is not None
-        assert e._pool is None
 
     def test_serving_repeats_hit_plan_cache(self):
         e = self._filled()
@@ -211,32 +202,24 @@ class TestShardedServing:
         e.answer_all(q)
         e.answer_all(q)
         assert sum(e.engine(n).hits for n in e.streams) >= len(e.streams)
-        e.close()
 
-    def test_shard_metrics_recorded(self, obs_registry):
-        e = self._filled(serve_shards=2)
+    def test_batch_size_metric_recorded(self, obs_registry):
+        e = self._filled()
         e.answer_all(point_query(0))
         snap = obs_registry.snapshot()
-        shard_counts = {
-            key: val
-            for key, val in snap["counters"].items()
-            if key.startswith("ensemble.shard.queries")
-        }
-        assert sum(shard_counts.values()) == len(e.streams)
-        assert "ensemble.batch_size" in snap["histograms"]
-        e.close()
+        assert snap["histograms"]["ensemble.batch_size"]["sum"] == len(e.streams)
 
     def test_invalid_serve_shards(self):
-        with pytest.raises(ValueError):
-            StreamEnsemble(32, serve_shards=-1)
+        for shards in (-1, 0, 2):
+            with pytest.raises(ValueError):
+                StreamEnsemble(32, serve_shards=shards)
 
     def test_serving_interleaved_with_ingest(self):
         rng = np.random.default_rng(12)
-        e = self._filled(serve_shards=2)
+        e = self._filled()
         q = InnerProductQuery((1, 6, 12), (0.5, 1.5, -2.0))
         for _ in range(10):
             fill(e, {name: rng.normal(size=3) for name in e.streams})
             out = e.answer_all(q)
             for name, answer in out.items():
                 assert answer.value == e.tree(name).answer(q).value
-        e.close()

@@ -22,6 +22,7 @@ from repro.core.engine import QueryEngine
 from repro.core.queries import InnerProductQuery, linear_query, point_query
 from repro.core.swat import Swat
 from repro.data.synthetic import random_walk_stream, uniform_stream
+from tests.reference import assert_reference_answer
 
 
 def tree_bits(tree: Swat) -> dict:
@@ -154,10 +155,17 @@ class TestEpochInvalidation:
         assert tree.reconfigure(k=2)
         assert tree.epoch == before + 1
         for query in (q, point_query(3), linear_query(32)):
-            assert engine.answer(query).value == tree.answer(query).value
+            got = engine.answer(query)
+            assert got.value == tree.answer(query).value
+            assert_reference_answer(tree, query, got)
         tree.reconfigure(min_level=2)
-        tree.extend(random_walk_stream(2 * 32, seed=26))
-        assert engine.answer(q).value == tree.answer(q).value
+        # Settling, then settled: every arrival is checked against the oracle.
+        for value in random_walk_stream(2 * 32, seed=26):
+            tree.update(float(value))
+            for query in (q, point_query(0), linear_query(32)):
+                got = engine.answer(query)
+                assert got.value == tree.answer(query).value
+                assert_reference_answer(tree, query, got)
 
 
 # ------------------------------------------------------------ §2.6 property
@@ -214,5 +222,7 @@ class TestSectionTwoSixBound:
                 np.asarray(query.weights),
             )
         )
-        observed = abs(tree.answer(query).value - truth)
+        answer = tree.answer(query)
+        assert_reference_answer(tree, query, answer)
+        observed = abs(answer.value - truth)
         assert observed <= bound + 1e-9 * (1.0 + abs(truth))

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Swat, exponential_query, linear_query, point_query
+from repro.core import (
+    InnerProductQuery,
+    QueryEngine,
+    Swat,
+    exponential_query,
+    linear_query,
+    point_query,
+)
 from repro.data.synthetic import drift_stream, uniform_stream
+from tests.reference import assert_reference_answer, reference_estimates
 
 
 def warm(N=64, n_extra=0, seed=0, **kwargs):
@@ -254,7 +262,9 @@ class TestReducedLevels:
             tree = Swat(64, min_level=min_level)
             tree.extend(stream)
             true = stream[-64:][::-1]
-            means.append(float(np.abs(tree.reconstruct_window() - true).mean()))
+            rec = tree.reconstruct_window()
+            assert np.array_equal(rec, reference_estimates(tree, range(64)))
+            means.append(float(np.abs(rec - true).mean()))
         assert means[0] <= means[1] <= means[2]
 
     def test_full_tree_never_extrapolates(self):
@@ -269,7 +279,9 @@ class TestReducedLevels:
         seen = 0
         for v in uniform_stream(16, seed=10):
             tree.update(v)
-            seen += tree.answer(point_query(0)).n_extrapolated
+            ans = tree.answer(point_query(0))
+            assert_reference_answer(tree, point_query(0), ans)
+            seen += ans.n_extrapolated
         assert seen > 0  # index 0 is often newer than the coarsest segment
 
 
@@ -279,8 +291,10 @@ class TestOtherBases:
         stream = uniform_stream(300, seed=1)
         tree = Swat(64, k=8, wavelet=wavelet)
         tree.extend(stream)
-        ans = tree.answer(linear_query(32))
+        q = linear_query(32)
+        ans = tree.answer(q)
         assert np.isfinite(ans.value)
+        assert_reference_answer(tree, q, ans)
 
     def test_non_haar_matches_haar_for_k1_roughly(self):
         """k=1 keeps only the scaling coefficient; db2 averages differ but
@@ -320,6 +334,39 @@ class TestDeviationTracking:
             true = q.evaluate(window)
             assert ans.error_bound is not None
             assert abs(ans.value - true) <= ans.error_bound + 1e-9
+
+    def test_opposite_sign_weights_do_not_cancel_the_bound(self):
+        """A difference query over an alternating stream misses the truth
+        by 10; signed terms w * deviation would cancel to a bound of 0."""
+        stream = np.array([0.0, 10.0] * 20)
+        tree = Swat(16, track_deviation=True)
+        tree.extend(stream)
+        q = InnerProductQuery((4, 5), (1.0, -1.0), precision=0.0)
+        ans = tree.answer(q)
+        truth = q.evaluate(stream[::-1])
+        assert abs(truth) == 10.0 and ans.value == 0.0
+        assert ans.error_bound == 10.0
+        assert not tree.can_answer(q)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 64),
+        length=st.integers(1, 12),
+    )
+    def test_signed_weight_answers_within_bound(self, seed, extra, length):
+        rng = np.random.default_rng(seed)
+        stream = rng.uniform(0.0, 100.0, size=2 * 64 + extra)
+        tree = Swat(64, track_deviation=True)
+        tree.extend(stream)
+        indices = tuple(int(i) for i in rng.choice(64, size=length, replace=False))
+        q = InnerProductQuery(indices, tuple(float(w) for w in rng.normal(size=length)))
+        truth = q.evaluate(stream[::-1])
+        engine = QueryEngine(tree)
+        # Uncached, then the engine's compile and its cached replay.
+        for ans in (tree.answer(q), engine.answer(q), engine.answer(q)):
+            assert abs(ans.value - truth) <= ans.error_bound + 1e-9 * (1.0 + abs(truth))
+        assert engine.hits == 1
 
     def test_can_answer_respects_precision(self):
         tree, __ = self._tracked()
