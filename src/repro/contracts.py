@@ -90,7 +90,7 @@ def check_swat(tree: "Swat") -> None:
     the moment the tree clears its settling flag.
     """
     t = tree.time
-    settling = bool(getattr(tree, "_settling", False))
+    settling = tree.settling
     top = tree.n_levels - 1
     for level in range(tree.n_levels):
         roles = tree._levels[level]

@@ -13,7 +13,7 @@ from .errors import (
 from .growing import GrowingSwat
 from .multi import StreamEnsemble
 from .node import Role, SwatNode
-from .plan import PlanStep, QueryPlan, compile_plan, phase_of
+from .plan import PlanStep, QueryPlan, compile_plan
 from .queries import (
     InnerProductQuery,
     RangeQuery,
@@ -33,7 +33,6 @@ __all__ = [
     "QueryPlan",
     "PlanStep",
     "compile_plan",
-    "phase_of",
     "StreamEnsemble",
     "SwatNode",
     "Role",

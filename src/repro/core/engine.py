@@ -2,14 +2,15 @@
 
 Every SWAT query is a compiled :class:`~repro.core.plan.QueryPlan`;
 :meth:`Swat.answer <repro.core.swat.Swat.answer>` compiles one per call.
-:class:`QueryEngine` amortizes the compile — the greedy cover search and the
+:class:`QueryEngine` amortizes the compile — the index→node and
 index→position arithmetic — across queries:
 
 * **Plan cache**: the cover structure for a fixed index set repeats every
   ``2^{L-1}`` arrivals, so plans are compiled once per ``(indices, phase)``
   and revalidated with a handful of integer comparisons.  A cache hit turns
-  a query into pure NumPy gathers.  A cold (not yet warm) tree's cover is
-  not a function of the phase, so its plans are compiled uncached.
+  a query into pure NumPy gathers.  The cover of a cold (not yet warm) tree,
+  or of one settling after a ``reconfigure``, is not a function of the
+  phase, so its plans are compiled uncached.
 * **Shared reconstructions**: gathers read ``SwatNode.reconstruct()``, whose
   memo is keyed by the node's ``version`` counter — each touched node is
   inverse-transformed at most once per refresh no matter how many queries
@@ -68,7 +69,8 @@ class QueryEngine:
         Plan-cache counters (mirrored into ``query.plan_cache.{hit,miss}``
         when :mod:`repro.obs` is enabled).
     fallbacks:
-        Plans compiled uncached because the tree was not yet warm.
+        Plans compiled uncached because the tree was cold (not yet warm) or
+        settling after a :meth:`~repro.core.swat.Swat.reconfigure`.
     """
 
     def __init__(self, tree: Swat, max_plans: int = DEFAULT_MAX_PLANS) -> None:
@@ -129,7 +131,7 @@ class QueryEngine:
         parent: Optional[TraceContext] = None,
     ) -> QueryPlan:
         """Cached-or-compiled plan for ``indices``; compiled uncached (and
-        counted in :attr:`fallbacks`) while the tree is cold.
+        counted in :attr:`fallbacks`) while the tree is cold or settling.
 
         ``shape_key`` is any hashable that uniquely identifies the index
         sequence — the tuple itself for queries, ``(dtype, bytes)`` for
@@ -137,11 +139,10 @@ class QueryEngine:
         cache hit).
         """
         tree = self.tree
-        if not self._warm:
-            if not tree.is_warm:
-                self.fallbacks += 1
-                return compile_plan(tree, indices)
-            self._warm = True
+        if tree.settling or not (self._warm or tree.is_warm):
+            self.fallbacks += 1
+            return compile_plan(tree, indices)
+        self._warm = True
         key = (shape_key, tree.phase)
         plan = self._plans.get(key)
         if plan is not None and plan.matches(tree):

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..wavelets.haar import combine_haar, leaf_coeffs
-from .coverage import build_cover
+from .coverage import locate
 from .node import Role, SwatNode
 from .queries import InnerProductQuery
 
@@ -120,23 +120,22 @@ class GrowingSwat:
 
     def estimates(self, indices: Sequence[int]) -> np.ndarray:
         """Approximate stream values at the given indices (0 = newest)."""
-        indices = list(indices)
-        bad = [i for i in indices if not 0 <= i < self._time]
-        if bad:
-            raise IndexError(f"indices {bad} out of range [0, {self._time - 1}]")
-        by_index: Dict[int, float] = {}
-        recent = min(len(self._last_two), 2)
-        for i in indices:
-            if i < recent:
-                by_index[i] = self._last_two[-1 - i]
-        remaining = [i for i in indices if i not in by_index]
-        if remaining:
-            cover = build_cover(self.nodes(), remaining, self._time)
-            for node, assigned in cover.assignments.items():
-                signal = node.reconstruct("haar")
-                for i in assigned:
-                    by_index[i] = float(signal[node.position_of(i, self._time)])
-        return np.array([by_index[i] for i in indices], dtype=np.float64)
+        idx = np.asarray(list(indices), dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= self._time)]
+        if bad.size:
+            raise IndexError(f"indices {bad.tolist()} out of range [0, {self._time - 1}]")
+        out = np.empty(idx.size, dtype=np.float64)
+        raw = idx < min(len(self._last_two), 2)
+        out[raw] = [self._last_two[-1 - i] for i in idx[raw].tolist()]
+        if not raw.all():
+            uniq, inv = np.unique(idx[~raw], return_inverse=True)
+            filled, node_of, position, _ = locate(self.nodes(), uniq, self._time)
+            values = np.empty(uniq.size, dtype=np.float64)
+            for j in np.unique(node_of).tolist():
+                at = node_of == j
+                values[at] = filled[j].reconstruct("haar")[position[at]]
+            out[~raw] = values[inv]
+        return out
 
     def point_estimate(self, index: int) -> float:
         return float(self.estimates([index])[0])

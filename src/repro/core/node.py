@@ -111,24 +111,6 @@ class SwatNode:
         lo = now - self.end_time
         return (lo, lo + self.segment_length - 1)
 
-    def covers(self, index: int, now: int) -> bool:
-        """True if window index ``index`` falls inside the node's segment."""
-        if not self.is_filled:
-            return False
-        lo, hi = self.relative_segment(now)
-        return lo <= index <= hi
-
-    def position_of(self, index: int, now: int) -> int:
-        """Position of window index ``index`` inside the node's time-ordered segment.
-
-        The reconstructed segment is oldest-first; window index ``r`` maps to
-        ``segment_length - 1 - (r - newest_idx)``.
-        """
-        lo, hi = self.relative_segment(now)
-        if not lo <= index <= hi:
-            raise IndexError(f"index {index} outside node segment [{lo}, {hi}]")
-        return self.segment_length - 1 - (index - lo)
-
     def set_contents(
         self,
         coeffs: np.ndarray,

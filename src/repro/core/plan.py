@@ -1,31 +1,33 @@
 """Compiled query plans: the one implementation of Figure 3(b)'s query.
 
-Every SWAT answer is a plan.  :func:`compile_plan` runs the cover search
-(:meth:`Swat.cover <repro.core.swat.Swat.cover>`) and freezes its outcome
-as a :class:`QueryPlan`: which output slots are served by the raw leaves
-``d_0``/``d_1``, and for every cover node the positions to gather from its
-reconstructed segment plus the output slots they land in.
-:meth:`QueryPlan.evaluate` is then pure gathers from per-node
-reconstructions that are themselves memoized by
+Every SWAT answer is a plan.  :func:`compile_plan` asks
+:func:`~repro.core.coverage.locate` which node and position answer each
+query index and freezes the outcome as a :class:`QueryPlan`: which output
+slots are served by the raw leaves ``d_0``/``d_1``, and for every cover node
+the positions to gather from its reconstructed segment plus the output
+slots they land in.  :meth:`QueryPlan.evaluate` is then pure gathers from
+per-node reconstructions that are themselves memoized by
 :attr:`~repro.core.node.SwatNode.version`.  :meth:`Swat.estimates
 <repro.core.swat.Swat.estimates>` and :meth:`Swat.answer
 <repro.core.swat.Swat.answer>` compile and evaluate on every call;
 :class:`~repro.core.engine.QueryEngine` adds an LRU of plans.
 
-Caching is sound because, for a *warm* tree, the cover chosen by
-:func:`~repro.core.coverage.build_cover` is a pure function of the tree's
-**phase** — the arrival clock modulo ``2^{L-1}`` (the refresh period of the
-coarsest maintained level).  Level ``l``'s ``R`` node always ends at the most
-recent multiple of ``2^l``, so every node's window-relative segment, and
-therefore the ``(level, role)`` pairs the greedy scan picks for a fixed index
-set, repeats exactly every ``2^{L-1}`` arrivals.
+Caching is sound because, for a *warm* tree that is not settling after a
+:meth:`~repro.core.swat.Swat.reconfigure`, the cover is a pure function of
+the tree's **phase** — the arrival clock modulo ``2^{L-1}`` (the refresh
+period of the coarsest maintained level).  Level ``l``'s ``R`` node always
+ends at the most recent multiple of ``2^l``, so every node's window-relative
+segment, and therefore the ``(level, role)`` pairs the scan picks for a
+fixed index set, repeats exactly every ``2^{L-1}`` arrivals.
 
 Two layers of invalidation keep cached plans sound:
 
 * **structure** — :meth:`QueryPlan.matches` re-checks, per referenced node,
   that the node is filled and sits at the window offset recorded at compile
-  time.  At a recurring phase of a warm tree this always holds; a reduced
-  tree mid-refresh or a restored checkpoint that disagrees recompiles.
+  time.  At a recurring phase of a warm tree this always holds.  It cannot
+  see an index that a refilled node has taken over since the compile,
+  so the plans of a cold or settling tree, whose cover is not a function of
+  the phase, are never cached.
 * **contents** — the plan never caches values.  Reconstructions come from
   ``SwatNode.reconstruct()``, whose memo is keyed by the node's ``version``
   counter (bumped on every ``set_contents``/``copy_from``), so a refresh
@@ -37,27 +39,17 @@ The Hypothesis suites check plans against the textbook per-index walk in
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .coverage import locate
 from .node import SwatNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Swat imports plan)
     from .swat import Swat
 
-__all__ = ["PlanStep", "QueryPlan", "compile_plan", "phase_of"]
-
-
-def phase_of(tree: "Swat") -> int:
-    """The tree's plan phase: arrivals modulo the coarsest refresh period.
-
-    Level ``l`` refreshes every ``2^l`` arrivals, so ``now mod 2^l`` — the
-    window offset of every level-``l`` node — is determined by
-    ``now mod 2^{L-1}`` for all maintained levels ``l <= L-1``.
-    """
-    return tree.time & ((tree.window_size >> 1) - 1)
+__all__ = ["PlanStep", "QueryPlan", "compile_plan", "window_indices"]
 
 
 class PlanStep:
@@ -189,25 +181,30 @@ class QueryPlan:
         )
 
 
-def compile_plan(tree: "Swat", indices: Sequence[int]) -> QueryPlan:
-    """Compile the cover for ``indices`` against the tree's current state.
-
-    Indices below :meth:`~repro.core.swat.Swat.raw_leaf_count` are served
-    by the raw leaves; the rest go through one greedy cover over their
-    distinct values, and each value's segment position (clamped to the
-    nearest segment end when a reduced or settling tree extrapolates) fans
-    back out to every query slot that asked for it.
-    """
+def window_indices(tree: "Swat", indices: Iterable[int]) -> np.ndarray:
+    """``indices`` as an int64 array, checked to lie inside the tree's window."""
     if not isinstance(indices, np.ndarray):
         indices = list(indices)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    bad_mask = (idx < 0) | (idx >= tree.size)
-    if bool(bad_mask.any()):
-        bad = [int(i) for i in idx[bad_mask]]
+    bad = idx[(idx < 0) | (idx >= tree.size)]
+    if bad.size:
         raise IndexError(
-            f"window indices {bad} out of range [0, {tree.size - 1}] "
+            f"window indices {bad.tolist()} out of range [0, {tree.size - 1}] "
             f"(stream has seen {tree.time} values)"
         )
+    return idx
+
+
+def compile_plan(tree: "Swat", indices: Sequence[int]) -> QueryPlan:
+    """Compile the plan for ``indices`` against the tree's current state.
+
+    Indices below :meth:`~repro.core.swat.Swat.raw_leaf_count` are served
+    by the raw leaves.  :func:`~repro.core.coverage.locate` places each
+    distinct remaining index in a node and a segment position (clamped to
+    the nearest segment end when a reduced or settling tree extrapolates),
+    and that placement fans back out to every query slot that asked for it.
+    """
+    idx = window_indices(tree, indices)
     now = tree.time
     slots = np.arange(idx.size, dtype=np.int64)
     raw_mask = idx < tree.raw_leaf_count()
@@ -216,50 +213,32 @@ def compile_plan(tree: "Swat", indices: Sequence[int]) -> QueryPlan:
     rest_slots = slots[~raw_mask]
     if rest_slots.size:
         uniq, inv = np.unique(idx[rest_slots], return_inverse=True)
-        cover = tree.cover(uniq.tolist())
-        nodes = list(cover.assignments)
-        counts = [len(a) for a in cover.assignments.values()]
-        # Every distinct index, in cover order, with its node's newest window
-        # index and segment length alongside.
-        assigned = np.fromiter(
-            itertools.chain.from_iterable(cover.assignments.values()),
-            dtype=np.int64,
-            count=uniq.size,
+        filled, node_of, position, extrapolated = locate(
+            tree.nodes(), uniq, now, tree.may_extrapolate
         )
-        lo = np.repeat([now - node.end_time for node in nodes], counts)
-        length = np.repeat([node.segment_length for node in nodes], counts)
-        pos = length - 1 - (assigned - lo)
-        if cover.extrapolated:
-            # Clamp to the nearest end of the node's segment.
-            ex = np.isin(assigned, cover.extrapolated)
-            pos = np.where(ex, np.where(assigned < lo, length - 1, 0), pos)
-        # Into distinct-index order, then fanned out to every query slot.
-        at = np.searchsorted(uniq, assigned)
-        step_of = np.empty(uniq.size, dtype=np.int64)
-        step_of[at] = np.repeat(np.arange(len(nodes)), counts)
-        pos_of = np.empty(uniq.size, dtype=np.int64)
-        pos_of[at] = pos
-        occ_step = step_of[inv]
-        occ_pos = pos_of[inv]
-        # Group the slots by cover node (query order within a node) so
-        # evaluation is one gather + scatter per node.
-        order = np.argsort(occ_step, kind="stable")
-        ends = np.cumsum(np.bincount(occ_step, minlength=len(nodes))).tolist()
-        for node, start, end in zip(nodes, [0] + ends, ends):
-            occ = order[start:end]
-            steps.append(
-                PlanStep(
-                    node.level,
-                    node.role,
-                    now - node.end_time,
-                    occ_pos[occ],
-                    rest_slots[occ],
+        occ_node = node_of[inv]
+        occ_pos = position[inv]
+        # Group the slots by node, in scan order (query order within a
+        # node), so evaluation is one gather + scatter per node.
+        order = np.argsort(occ_node, kind="stable")
+        start = 0
+        for node, count in zip(filled, np.bincount(occ_node, minlength=len(filled)).tolist()):
+            if count:
+                occ = order[start : start + count]
+                steps.append(
+                    PlanStep(
+                        node.level,
+                        node.role,
+                        now - node.end_time,
+                        occ_pos[occ],
+                        rest_slots[occ],
+                    )
                 )
-            )
-        n_extrapolated = len(cover.extrapolated)
+                start += count
+        n_extrapolated = int(extrapolated.sum())
     return QueryPlan(
         tuple(idx.tolist()),
-        phase_of(tree),
+        tree.phase,
         tuple(steps),
         slots[raw_mask],
         idx[raw_mask],

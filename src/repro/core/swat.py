@@ -48,7 +48,7 @@ from ..wavelets.transform import full_decompose, is_power_of_two, truncate
 from .coverage import Cover, build_cover
 from .errors import require_finite
 from .node import Role, SwatNode
-from .plan import QueryPlan, compile_plan
+from .plan import QueryPlan, compile_plan, window_indices
 from .queries import InnerProductQuery, RangeQuery
 
 __all__ = ["Swat", "QueryAnswer"]
@@ -252,11 +252,28 @@ class Swat:
     def phase(self) -> int:
         """Arrival clock modulo the coarsest refresh period (``2^{L-1}``).
 
-        For a warm tree every node's window-relative segment — and hence the
-        cover structure of any fixed index set — is a pure function of this
-        phase; compiled query plans (:mod:`repro.core.plan`) are keyed by it.
+        For a warm tree that is not :attr:`settling`, every node's
+        window-relative segment — and hence the cover structure of any fixed
+        index set — is a pure function of this phase; compiled query plans
+        (:mod:`repro.core.plan`) are keyed by it.  While the tree settles
+        after a :meth:`reconfigure`, refilled levels can take indices over
+        at any arrival, so the cover is not a function of the phase.
         """
         return self._time & ((self.window_size >> 1) - 1)
+
+    @property
+    def settling(self) -> bool:
+        """True from a ``min_level`` :meth:`reconfigure` until every
+        maintained node is back on the Figure 3(a) refresh cadence."""
+        return self._settling
+
+    @property
+    def may_extrapolate(self) -> bool:
+        """True when a query may clamp an index no filled segment holds to
+        the nearest one: reduced trees always extrapolate below
+        ``min_level``; a settling tree also extrapolates across the levels
+        :meth:`reconfigure` emptied until the shift pipeline refills them."""
+        return self.min_level > 0 or self._settling
 
     def raw_leaf_count(self) -> int:
         """Window indices servable exactly from the raw leaves ``d_0``/``d_1``."""
@@ -750,22 +767,11 @@ class Swat:
 
     def cover(self, indices: Iterable[int]) -> Cover:
         """Cover set ``V`` for the given window indices (Figure 3(b), first loop)."""
-        wanted = list(indices)
-        size = self.size
-        bad = [i for i in wanted if not 0 <= i < size]
-        if bad:
-            raise IndexError(
-                f"window indices {bad} out of range [0, {size - 1}] "
-                f"(stream has seen {self._time} values)"
-            )
         return build_cover(
             self.nodes(),
-            wanted,
+            window_indices(self, indices),
             self._time,
-            # Reduced trees always extrapolate below min_level; a settling
-            # tree additionally extrapolates across levels reconfigure()
-            # emptied until the shift pipeline refills them.
-            allow_extrapolation=self.min_level > 0 or self._settling,
+            allow_extrapolation=self.may_extrapolate,
         )
 
     def estimates(self, indices: Sequence[int]) -> np.ndarray:

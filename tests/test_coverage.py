@@ -1,10 +1,13 @@
-"""Tests for repro.core.coverage: the greedy cover construction."""
+"""Tests for repro.core.coverage: which node answers each query index."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Swat
 from repro.core.coverage import Cover, CoverageError, build_cover
 from repro.data.synthetic import uniform_stream
+from tests.reference import reference_cover
 
 
 @pytest.fixture()
@@ -60,3 +63,35 @@ class TestBuildCover:
         c = Cover()
         assert c.nodes == []
         assert c.extrapolated == []
+
+
+@st.composite
+def trees(draw):
+    """Warm full and reduced trees, and trees settling after a mid-stream
+    ``reconfigure(min_level=)`` at an arbitrary arrival."""
+    window = draw(st.sampled_from([8, 16, 32, 64]))
+    n_levels = window.bit_length() - 1
+    shape = draw(st.sampled_from(["full", "reduced", "settling"]))
+    min_level = 0
+    if shape != "full":
+        min_level = draw(st.integers(1 if shape == "reduced" else 0, n_levels - 1))
+    tree = Swat(window, k=draw(st.integers(1, 3)), min_level=min_level)
+    data = uniform_stream(4 * window, seed=draw(st.integers(0, 2**16)))
+    first = draw(st.integers(window, 2 * window))
+    tree.extend(data[:first])
+    if shape == "settling":
+        new_min_level = draw(st.integers(0, n_levels - 1).filter(lambda m: m != min_level))
+        tree.reconfigure(min_level=new_min_level)
+        tree.extend(data[first : first + draw(st.integers(0, window))])
+    return tree
+
+
+class TestAgainstReference:
+    @given(tree=trees(), data=st.data())
+    @settings(max_examples=200)
+    def test_cover_matches_reference_walk(self, tree, data):
+        indices = [0, 1] + data.draw(st.lists(st.integers(0, tree.size - 1), max_size=64))
+        cover = tree.cover(indices)
+        assignments, extrapolated = reference_cover(tree, indices)
+        assert {node: sorted(a) for node, a in cover.assignments.items()} == assignments
+        assert cover.extrapolated == extrapolated

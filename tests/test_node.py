@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.coverage import CoverageError, locate
 from repro.core.node import Role, SwatNode
 from repro.wavelets.transform import full_decompose, truncate
 
@@ -17,6 +18,14 @@ def filled_node(level=1, end_time=10, data=None, k=None):
         coeffs = truncate(coeffs, k)
     node.set_contents(coeffs, end_time)
     return node, np.asarray(data, dtype=np.float64)
+
+
+def located(node, index, now):
+    """``(position, extrapolated)`` of one window index over a lone node."""
+    __, __, position, extrapolated = locate(
+        [node], np.array([index]), now, allow_extrapolation=True
+    )
+    return int(position[0]), bool(extrapolated[0])
 
 
 class TestGeometry:
@@ -35,27 +44,30 @@ class TestGeometry:
 
     def test_covers(self):
         node, __ = filled_node(level=1, end_time=10)
-        assert node.covers(0, now=10)
-        assert node.covers(3, now=10)
-        assert not node.covers(4, now=10)
-        assert not node.covers(0, now=13)
+        assert not located(node, 0, now=10)[1]
+        assert not located(node, 3, now=10)[1]
+        assert located(node, 4, now=10)[1]
+        assert located(node, 0, now=13)[1]
 
     def test_empty_node_covers_nothing(self):
         node = SwatNode(0, "S")
-        assert not node.covers(0, now=5)
+        with pytest.raises(CoverageError):
+            locate([node], np.array([0]), 5, allow_extrapolation=True)
         with pytest.raises(ValueError):
             node.absolute_segment()
 
-    def test_position_of_is_oldest_first(self):
+    def test_position_is_oldest_first(self):
         node, data = filled_node(level=1, end_time=10)
         # now=10: window index 0 is the newest = last element of the segment.
-        assert node.position_of(0, now=10) == 3
-        assert node.position_of(3, now=10) == 0
+        assert located(node, 0, now=10) == (3, False)
+        assert located(node, 3, now=10) == (0, False)
 
-    def test_position_of_out_of_segment(self):
+    def test_position_outside_segment_is_clamped_or_refused(self):
         node, __ = filled_node(level=1, end_time=10)
-        with pytest.raises(IndexError):
-            node.position_of(9, now=10)
+        with pytest.raises(CoverageError):
+            locate([node], np.array([9]), 10)
+        assert located(node, 9, now=10) == (0, True)  # older: the oldest end
+        assert located(node, 0, now=13) == (3, True)  # newer: the newest end
 
 
 class TestContents:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import QueryEngine
-from repro.core.plan import compile_plan, phase_of
+from repro.core.plan import compile_plan
 from repro.core.queries import InnerProductQuery, point_query
 from repro.core.swat import Swat
 from tests.reference import assert_reference_answer, reference_estimates
@@ -226,7 +226,6 @@ class TestPlanCache:
         engine = QueryEngine(tree)
         q = point_query(3)
         engine.answer(q)
-        assert phase_of(tree) == tree.phase
         tree.update(1.0)  # phase moved: same shape needs a new plan
         engine.answer(q)
         assert engine.misses == 2

@@ -22,7 +22,7 @@ from repro.core.engine import QueryEngine
 from repro.core.queries import InnerProductQuery, linear_query, point_query
 from repro.core.swat import Swat
 from repro.data.synthetic import random_walk_stream, uniform_stream
-from tests.reference import assert_reference_answer
+from tests.reference import assert_reference_answer, reference_estimates
 
 
 def tree_bits(tree: Swat) -> dict:
@@ -166,6 +166,53 @@ class TestEpochInvalidation:
                 got = engine.answer(query)
                 assert got.value == tree.answer(query).value
                 assert_reference_answer(tree, query, got)
+
+
+class TestSettlingPlans:
+    """Plans compiled while a tree settles are never cached: the cover is
+    not a function of the phase until every node is back on cadence."""
+
+    def test_plan_compiled_while_settling_is_not_served_after(self):
+        # The plan compiled at arrival 34 clamped indices 14 and 15 to S2
+        # because the stale L2 held neither.  At arrival 42, after settling
+        # ended at 40, the plan still matched its own nodes, but the
+        # refilled L2 now holds both indices.
+        tree = Swat(16, k=1)
+        engine = QueryEngine(tree)
+        for n in range(1, 61):
+            tree.update(float(n % 7))
+            if n == 19:
+                tree.reconfigure(min_level=1)
+            if n >= 16:
+                got = engine.estimates(range(16))
+                assert np.array_equal(got, reference_estimates(tree, range(16))), n
+        assert engine.fallbacks > 0 and engine.hits > 0
+
+    def test_engine_matches_reference_through_off_boundary_reconfigures(self):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            window = int(rng.choice([16, 32]))
+            n_levels = window.bit_length() - 1
+            tree = Swat(window, k=int(rng.integers(1, 4)))
+            engine = QueryEngine(tree)
+            data = uniform_stream(4 * window, seed=int(rng.integers(2**16)))
+            reconfig_at = {
+                int(t)
+                for t in rng.integers(window // 2, 3 * window, size=2)
+                if t % (window // 2)
+            }
+            index_sets = [np.arange(window), rng.choice(window, size=window // 4)]
+            for t, value in enumerate(data, start=1):
+                tree.update(float(value))
+                if t in reconfig_at:
+                    tree.reconfigure(min_level=int(rng.integers(n_levels)))
+                # Back-to-back reconfigures can leave no maintained node
+                # filled; Swat.estimates raises CoverageError there too.
+                if t < window or not any(node.is_filled for node in tree.nodes()):
+                    continue
+                for indices in index_sets:
+                    got = engine.estimates(indices)
+                    assert np.array_equal(got, reference_estimates(tree, indices)), t
 
 
 # ------------------------------------------------------------ §2.6 property
