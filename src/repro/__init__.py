@@ -6,7 +6,7 @@ Public API highlights:
 * :class:`repro.Swat` — the multi-resolution wavelet approximation tree;
 * :mod:`repro.core.queries` — point / range / inner-product query model;
 * :class:`repro.HistogramSummary` — the Guha-Koudas histogram baseline;
-* :class:`repro.SwatAsr`, :class:`repro.DivergenceCaching`,
+* :class:`repro.AsyncSwatAsr`, :class:`repro.DivergenceCaching`,
   :class:`repro.AdaptivePrecision` — the replication protocols of §3-4;
 * :mod:`repro.experiments` — one driver per paper figure;
 * :mod:`repro.obs` — metrics registry, tracing, and exporters (off by
@@ -38,9 +38,9 @@ from .histogram import HistogramSummary
 from .network import Topology
 from .replication import (
     AdaptivePrecision,
+    AsyncSwatAsr,
     DivergenceCaching,
     ReplicationConfig,
-    SwatAsr,
     make_protocol,
     run_replication,
 )
@@ -63,7 +63,7 @@ __all__ = [
     "linear_query",
     "HistogramSummary",
     "Topology",
-    "SwatAsr",
+    "AsyncSwatAsr",
     "DivergenceCaching",
     "AdaptivePrecision",
     "ReplicationConfig",

@@ -10,12 +10,12 @@ module checks those properties mechanically:
   nodes (the top exactly one), every filled node carries at most ``k``
   coefficients, and each filled node's ``end_time`` sits exactly where the
   ``2^l`` refresh cadence puts it.
-* :func:`check_asr` — on every root-ward path of the replication tree,
-  cached range widths are monotone non-increasing toward the source.
+* :func:`check_async_asr` — on every root-ward path of the replication
+  tree, cached range widths are monotone non-increasing toward the source.
 
 Checking is off by default.  Turn it on per object with
 ``check_invariants=True`` (:class:`repro.core.swat.Swat`,
-:class:`repro.replication.asr.SwatAsr`) or process-wide with the
+:class:`repro.replication.async_asr.AsyncSwatAsr`) or process-wide with the
 ``REPRO_CHECK_INVARIANTS=1`` environment variable; a disabled tree pays one
 attribute read per update.  Violations raise :exc:`InvariantViolation`
 naming the offending level or site.
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # avoid runtime circular imports; checkers take the objects
     from .core.swat import Swat
-    from .replication.asr import SwatAsr
     from .replication.async_asr import AsyncSwatAsr
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "invariants_enabled",
     "resolve_check_flag",
     "check_swat",
-    "check_asr",
     "check_async_asr",
 ]
 
@@ -45,8 +43,8 @@ ENV_VAR = "REPRO_CHECK_INVARIANTS"
 
 _FALSY = frozenset({"", "0", "false", "no", "off"})
 
-#: Slack for float comparisons on cached range widths (matches
-#: ``SwatAsr.precision_is_monotone``).
+#: Slack for float comparisons on cached range widths: a child's range may be
+#: narrower than its parent's by rounding alone.
 _WIDTH_TOLERANCE = 1e-9
 
 
@@ -131,37 +129,15 @@ def check_swat(tree: "Swat") -> None:
 # -------------------------------------------------------------------- ASR
 
 
-def check_asr(asr: "SwatAsr") -> None:
+def check_async_asr(asr: "AsyncSwatAsr") -> None:
     """Verify the ASR directory's precision monotonicity (Section 3).
 
     On every root-ward path, a cached child's range must be at least as wide
     as its parent's — the parent sits closer to the source, so its copy can
     only be fresher.  Raises :exc:`InvariantViolation` naming the child
-    site, its parent, and the segment.
-    """
-    for node in asr.topology.clients:
-        parent = asr.topology.parent(node)
-        child_dir = asr.sites[node]
-        parent_dir = asr.sites[parent]
-        for seg in asr._segments:
-            child_row = child_dir.row(seg)
-            if not child_row.is_cached:
-                continue
-            parent_row = parent_dir.row(seg)
-            if parent_row.width > child_row.width + _WIDTH_TOLERANCE:
-                raise InvariantViolation(
-                    f"segment {seg}: cached width at {node!r} "
-                    f"({child_row.width:g}) is tighter than at its parent "
-                    f"{parent!r} ({parent_row.width:g}); precision must be "
-                    "monotone non-increasing toward the source"
-                )
-
-
-def check_async_asr(asr: "AsyncSwatAsr") -> None:
-    """Width monotonicity for the actor-based ASR, degraded states excused.
-
-    The contract of :func:`check_asr` holds on every root-ward edge *except*
-    where fault injection legitimately broke it:
+    site, its parent, and the segment.  Uncached children offer infinite
+    width and are skipped.  The contract holds on every root-ward edge
+    *except* where fault injection legitimately broke it:
 
     * a crashed child (or a child of a crashed parent) is skipped — its rows
       are frozen mid-outage by construction;

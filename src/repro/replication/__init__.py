@@ -2,7 +2,6 @@
 
 from .adr import AdrObject
 from .aps import AdaptivePrecision
-from .asr import SwatAsr
 from .async_asr import DEGRADED_WIDEN_FACTOR, AsyncSwatAsr, QueryOutcome
 from .base import ReplicationProtocol, uniform_tolerance
 from .divergence import EVENT_WINDOW, DivergenceCaching, optimal_refresh_width
@@ -17,7 +16,6 @@ from .harness import (
 __all__ = [
     "AdaptivePrecision",
     "AdrObject",
-    "SwatAsr",
     "AsyncSwatAsr",
     "QueryOutcome",
     "DEGRADED_WIDEN_FACTOR",

@@ -1,18 +1,26 @@
-"""SWAT-ASR as communicating actors over a real message transport.
+"""SWAT-ASR: adaptive stream replication (Section 3), as communicating actors.
 
-The synchronous :class:`~repro.replication.asr.SwatAsr` models messages as
-counted function calls.  This module runs the *same protocol* as a set of
-site actors exchanging envelopes through
-:class:`repro.network.transport.Transport`: queries travel hop by hop with
-request/response correlation ids, updates cascade as real deliveries, and
-per-hop latency is an actual simulator delay — so response latency is
-measured, not derived.
+The window is split into the ``log N`` directory segments of Table 1, each
+running an ADR-style replication scheme over the spanning tree (Figure 8).
+The source pushes a segment's fresh range to subscribers only when the range
+it stored does not enclose it; a site answers a query when the weighted
+width of its cached ranges is within the query's delta, and otherwise
+forwards the whole query one hop toward the source; at each phase end,
+fringes contract where writes outran reads and schemes expand toward
+children whose reads outran writes.  Cached precision never tightens down
+the tree (:func:`repro.contracts.check_async_asr`).
 
-At zero latency the execution is step-for-step equivalent to the synchronous
-implementation: identical message counts, identical answers, identical
-directory state (asserted in ``tests/test_async_asr.py``).  With positive
-latency the protocol exhibits what a real deployment would: stale reads in
-flight, delayed refreshes, and measurable round-trip times.
+Sites exchange envelopes through :class:`repro.network.transport.Transport`:
+queries travel hop by hop with request/response correlation ids, updates
+cascade as real deliveries, and per-hop latency is an actual simulator
+delay — so response latency is measured, not derived.
+
+At zero latency without faults the execution is step-for-step the
+counted-call Figure 8 model in ``tests/reference_asr.py``: identical message
+counts, answers and directory state (``tests/test_async_asr.py``).  The
+Figure 9-10 drivers run that configuration.  With positive latency the
+protocol exhibits what a real deployment would: stale reads in flight,
+delayed refreshes, and measurable round-trip times.
 
 Fault tolerance
 ---------------
@@ -47,6 +55,7 @@ about the degraded state: unsynced pairs and crashed sites are excused
 
 from __future__ import annotations
 
+import logging
 import zlib
 from dataclasses import dataclass
 from typing import (
@@ -64,7 +73,9 @@ from typing import (
 
 from .. import contracts
 from ..control.governor import ReplicaGovernor
+from ..core.coverage import CoverageError
 from ..core.queries import InnerProductQuery
+from ..core.swat import Swat
 from ..metrics.error import GroundTruthWindow
 from ..network.directory import Directory, DirectoryRow, Segment, SegmentPlanCache
 from ..network.faults import FaultPlan
@@ -84,6 +95,8 @@ from ..simulate import shake as shake_mod
 from ..simulate.events import Simulator
 
 __all__ = ["AsyncSwatAsr", "QueryOutcome", "DEGRADED_WIDEN_FACTOR"]
+
+logger = logging.getLogger(__name__)
 
 #: Checkpoint kind tag for per-site protocol state.
 SITE_CHECKPOINT_KIND = "asr-site"
@@ -685,8 +698,10 @@ class AsyncSwatAsr:
 
     Parameters
     ----------
-    topology, window_size:
-        As for the synchronous implementation.
+    topology:
+        Spanning tree with the stream source at the root.
+    window_size:
+        Sliding window size ``N`` (power of two).
     latency:
         Per-hop delivery delay in virtual seconds.
     sim:
@@ -723,9 +738,15 @@ class AsyncSwatAsr:
         its least-read unpinned rows through the ordinary unsubscribe path
         and re-negotiates precision later if interest returns.  ``None``
         (the default) keeps behavior bit-identical to before.
+    use_summary_ranges:
+        Take segment ranges from a deviation-tracked 1-coefficient SWAT at
+        the source instead of exact min/max over the raw window: certified
+        supersets (average ± max deviation), so answers stay within
+        precision at the cost of extra forwarding.  Only this mode keeps the
+        SWAT.
     """
 
-    name = "SWAT-ASR (async)"
+    name = "SWAT-ASR"
 
     def __init__(
         self,
@@ -741,6 +762,7 @@ class AsyncSwatAsr:
         checkpoints: Optional[CheckpointStore] = None,
         checkpoint_policy: Optional[CheckpointPolicy] = None,
         governor: Optional[ReplicaGovernor] = None,
+        use_summary_ranges: bool = False,
     ) -> None:
         self.topology = topology
         self.window_size = window_size
@@ -755,6 +777,9 @@ class AsyncSwatAsr:
             max_retries=max_retries,
             causal=self.causal,
         )
+        # Labelled, so the registry mirror reads messages.<kind>{protocol=...}
+        # beside the DC and APS series.
+        self.transport.stats = MessageStats(protocol=self.name)
         self.window = GroundTruthWindow(window_size)
         self.sites: Dict[str, _Site] = {
             node: _Site(node, self) for node in topology.nodes
@@ -768,6 +793,12 @@ class AsyncSwatAsr:
         self.query_outcomes: List[QueryOutcome] = []
         self.last_query_hops = 0
         self._check = contracts.resolve_check_flag(check_invariants)
+        self.use_summary_ranges = bool(use_summary_ranges)
+        self._summary: Optional[Swat] = (
+            Swat(window_size, track_deviation=True, check_invariants=self._check)
+            if self.use_summary_ranges
+            else None
+        )
         if checkpoint_policy is not None and checkpoints is None:
             raise ValueError("checkpoint_policy requires a CheckpointStore")
         self.checkpoints = checkpoints
@@ -969,6 +1000,10 @@ class AsyncSwatAsr:
             self.sim.run_until(now)
         self._handle_recoveries()
         self.window.update(value)
+        if self._summary is not None:
+            # The summary sees every arrival from the start, so it is warm
+            # by the time the window fills and propagation begins.
+            self._summary.update(float(value))
         if not self.is_warm:
             self._note_arrival()
             return
@@ -987,8 +1022,7 @@ class AsyncSwatAsr:
                 )
                 ctx = root_span.context
             for seg in self._segments:
-                rng = self.window.segment_range(seg.newest, seg.oldest)
-                source.apply_update(seg, rng, ctx=ctx)
+                source.apply_update(seg, self._segment_range(seg), ctx=ctx)
         self.transport.drain()
         if root_span is not None and self.causal is not None:
             # Finished after the drain so the span covers the whole cascade
@@ -998,6 +1032,22 @@ class AsyncSwatAsr:
         self._note_arrival()
         if self._check:
             contracts.check_async_asr(self)
+
+    def _segment_range(self, seg: Segment) -> Tuple[float, float]:
+        """The source's fresh range for ``seg``: exact, or the union of
+        ``avg ± deviation`` over the summary nodes covering the segment."""
+        if self._summary is None:
+            return self.window.segment_range(seg.newest, seg.oldest)
+        try:
+            nodes = self._summary.cover(list(seg.indices())).assignments
+        except CoverageError:
+            # A few nodes may still be unfilled right after the window first
+            # fills; the source always has the raw window to fall back on.
+            return self.window.segment_range(seg.newest, seg.oldest)
+        return (
+            min(node.average() - (node.deviation or 0.0) for node in nodes),
+            max(node.average() + (node.deviation or 0.0) for node in nodes),
+        )
 
     # ------------------------------------------------------------ query path
 
@@ -1010,8 +1060,11 @@ class AsyncSwatAsr:
         degraded flag, staleness stamp, measured latency) is appended to
         :attr:`query_outcomes`.  Under a fault plan this never raises: a
         crashed client or a fully lost response chain degrades to the
-        client's last-known summary instead.
+        client's last-known summary instead.  An unknown ``client`` raises
+        :exc:`KeyError` before the clock moves or a span opens.
         """
+        if client not in self.topology:
+            raise KeyError(f"unknown site {client!r}")
         if not self.is_warm:
             raise RuntimeError("stream window not yet full; warm up before querying")
         if now is not None and now > self.sim.now:
@@ -1067,12 +1120,18 @@ class AsyncSwatAsr:
         degraded = bool(payload.get("degraded", False))
         if degraded and obs.ENABLED:
             obs.counter("asr.degraded_answers").inc()
+        self.last_query_hops = 2 * (
+            self.topology.depth(client) - self.topology.depth(served_by)
+        )
         if root_span is not None and self.causal is not None:
             # The span ends when the *answer* landed, not when the drain
             # returned: late retransmissions after a degraded answer stay in
             # the tree but out of this query's wall-clock.
             root_span.finish(
-                cast(float, box["at"]), degraded=degraded, served_by=served_by
+                cast(float, box["at"]),
+                degraded=degraded,
+                served_by=served_by,
+                hops=self.last_query_hops,
             )
             causal_mod.record_query_trace(self.causal, root_span, self.name)
         outcome = QueryOutcome(
@@ -1088,16 +1147,14 @@ class AsyncSwatAsr:
         )
         self.query_outcomes.append(outcome)
         self.query_latencies.append(outcome.latency)
-        self.last_query_hops = 2 * (
-            self.topology.depth(client) - self.topology.depth(served_by)
-        )
         return value
 
     # ------------------------------------------------------------- phase end
 
     def on_phase_end(self, now: Optional[float] = None) -> None:
-        """Figure 8(b) with real messages; drains between steps so tests see
-        effects in the synchronous implementation's order at zero latency."""
+        """Figure 8(b) with real messages: contraction, deepest sites first,
+        then expansion, then the counter reset.  Drains between steps, so at
+        zero latency effects land in the counted-call model's order."""
         if now is not None and now > self.sim.now:
             self.sim.run_until(now)
         self._handle_recoveries()
@@ -1120,6 +1177,10 @@ class AsyncSwatAsr:
                 row = site.directory.row(seg)
                 if row.is_cached and not row.subscribed:
                     if row.local_reads < row.write_count:
+                        logger.debug(
+                            "phase end t=%g: %s contracts segment %s (reads=%d < writes=%d)",
+                            self.sim.now, node, seg, row.local_reads, row.write_count,
+                        )
                         row.approx = None
                         parent = self.topology.parent(node)
                         assert parent is not None
@@ -1183,6 +1244,12 @@ class AsyncSwatAsr:
                 for v in sorted(row.interested):
                     row.interested.discard(v)
                     if row.write_count < row.read_counts.get(v, 0):
+                        logger.debug(
+                            "phase end t=%g: scheme for segment %s expands "
+                            "%s -> %s (reads=%d > writes=%d)",
+                            self.sim.now, seg, node, v,
+                            row.read_counts.get(v, 0), row.write_count,
+                        )
                         row.subscribed.add(v)
                         assert row.approx is not None
                         site.push_update(v, seg, row.approx, MessageKind.INSERT, ctx=ctx)

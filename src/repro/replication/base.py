@@ -1,11 +1,14 @@
-"""Common interface for the three replication protocols of Sections 3-4.
+"""Common interface of the replication protocols of Sections 3-4.
 
 All protocols run on a spanning tree (:class:`repro.network.Topology`) with
 the stream source at the root, are driven by three callbacks — ``on_data``
 (a new stream value arrives at the source), ``on_query`` (a client issues an
 inner-product query with a precision requirement), ``on_phase_end`` (ADR
 phase boundary; a no-op for DC and APS) — and are scored by hop-counted
-messages in a shared :class:`repro.network.MessageStats`.
+messages in a shared :class:`repro.network.MessageStats`.  DC and APS count
+calls and derive from :class:`ReplicationProtocol`; SWAT-ASR
+(:class:`~repro.replication.async_asr.AsyncSwatAsr`) sends its messages
+through a transport and shares only the callbacks.
 
 Precision allocation: SWAT-ASR tests the *whole* query — the total offered
 precision ``sum_i W[i] * width(segment(i))`` against ``delta``, as in the
@@ -53,7 +56,7 @@ def per_index_tolerances(query: InnerProductQuery) -> dict:
 
 
 class ReplicationProtocol(abc.ABC):
-    """Base class handling the state shared by all three protocols."""
+    """Base class handling the state shared by DC and APS."""
 
     name = "base"
 

@@ -1,6 +1,6 @@
 """Simulation harness for the replication experiments (Section 5).
 
-Drives a :class:`~repro.replication.base.ReplicationProtocol` through the
+Drives any :class:`ReplicationDriver` — SWAT-ASR, DC or APS — through the
 discrete-event simulator: a periodic data task at the source (period
 ``T_d``), one periodic query task per client (period ``T_q``, random query
 mode with uniformly drawn sizes, positions, and precisions), and a periodic
@@ -26,8 +26,7 @@ from ..obs import metrics as obs
 from ..simulate.events import Simulator
 from ..simulate.tasks import PeriodicTask
 from .aps import AdaptivePrecision
-from .asr import SwatAsr
-from .base import ReplicationProtocol
+from .async_asr import AsyncSwatAsr
 from .divergence import DivergenceCaching
 
 __all__ = [
@@ -44,8 +43,8 @@ PROTOCOLS = ("SWAT-ASR", "DC", "APS")
 class ReplicationDriver(Protocol):
     """What :func:`run_replication` needs from a protocol, structurally.
 
-    Satisfied by every :class:`~repro.replication.base.ReplicationProtocol`
-    subclass *and* by the actor-based
+    Satisfied by DC and APS (:class:`~repro.replication.base.ReplicationProtocol`
+    subclasses) *and* by SWAT-ASR,
     :class:`~repro.replication.async_asr.AsyncSwatAsr`, which shares the
     callback surface without inheriting the base class (its messaging runs
     through a real transport rather than counted calls).
@@ -143,10 +142,11 @@ def make_protocol(
     topology: Topology,
     window_size: int,
     value_range: Tuple[float, float] = (0.0, 100.0),
-) -> ReplicationProtocol:
-    """Instantiate a protocol by its figure-legend name."""
+) -> ReplicationDriver:
+    """Instantiate a protocol by its figure-legend name (SWAT-ASR over a
+    zero-latency, fault-free transport)."""
     if name == "SWAT-ASR":
-        return SwatAsr(topology, window_size)
+        return AsyncSwatAsr(topology, window_size)
     if name == "DC":
         return DivergenceCaching(topology, window_size, value_range=value_range)
     if name == "APS":

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro import obs
+from repro.obs.causal import disable_causal, enable_causal
 
 # One fixed profile for every property/stateful test: no per-example deadline
 # (the invariant-checked machines do real work per step) and derandomized
@@ -40,3 +41,14 @@ def obs_disabled_guard():
     assert obs_metrics.ENABLED is False
     yield
     obs_metrics.ENABLED = False
+
+
+@pytest.fixture()
+def ambient_tracer():
+    """Install a process-wide tracer; restore the previous one on teardown."""
+    previous = disable_causal()
+    tracer = enable_causal(seed=0)
+    yield tracer
+    disable_causal()
+    if previous is not None:
+        enable_causal(previous)

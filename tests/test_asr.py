@@ -1,4 +1,4 @@
-"""Tests for repro.replication.asr: the SWAT-ASR protocol.
+"""Tests for the SWAT-ASR protocol (:mod:`repro.replication.async_asr`).
 
 The central scenario mirrors the Section 3 walk-through on the Figure 7
 topology: a read at C3 pulls the replica first to C1, then to C3; enclosed
@@ -9,18 +9,19 @@ back toward the source.
 import numpy as np
 import pytest
 
+from repro.contracts import check_async_asr
 from repro.core.queries import linear_query, point_query
 from repro.network.directory import Segment
 from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
-from repro.replication.asr import SwatAsr
+from repro.replication.async_asr import AsyncSwatAsr
 
 N = 16
 SEG23 = Segment(2, 3)
 
 
 def make_asr(constant=35.0):
-    asr = SwatAsr(Topology.paper_example(), N)
+    asr = AsyncSwatAsr(Topology.paper_example(), N)
     for __ in range(N):
         asr.on_data(constant)
     return asr
@@ -35,7 +36,7 @@ class TestWalkThrough:
         assert asr.stats.count(MessageKind.QUERY) == 2
         assert asr.stats.count(MessageKind.RESPONSE) == 2
         # S marked C1 interested with one read.
-        row = asr.sites[SOURCE].row(SEG23)
+        row = asr.sites[SOURCE].directory.row(SEG23)
         assert "C1" in row.interested
         assert row.read_counts["C1"] == 1
 
@@ -44,19 +45,19 @@ class TestWalkThrough:
         asr.on_query("C3", point_query(3, precision=20.0))
         asr.on_phase_end()
         assert asr.stats.count(MessageKind.INSERT) == 1
-        assert asr.sites["C1"].row(SEG23).is_cached
-        assert "C1" in asr.sites[SOURCE].row(SEG23).subscribed
+        assert asr.sites["C1"].directory.row(SEG23).is_cached
+        assert "C1" in asr.sites[SOURCE].directory.row(SEG23).subscribed
         # Second phase: C3 asks three times; C1 satisfies them all.
         for __ in range(3):
             asr.on_query("C3", point_query(3, precision=20.0))
-        assert asr.sites["C1"].row(SEG23).read_counts["C3"] == 3
+        assert asr.sites["C1"].directory.row(SEG23).read_counts["C3"] == 3
         asr.on_phase_end()
-        assert asr.sites["C3"].row(SEG23).is_cached
+        assert asr.sites["C3"].directory.row(SEG23).is_cached
         # Third phase: C3 answers locally, zero messages.
         before = asr.stats.total
         asr.on_query("C3", point_query(3, precision=20.0))
         assert asr.stats.total == before
-        assert asr.sites["C3"].row(SEG23).local_reads == 1
+        assert asr.sites["C3"].directory.row(SEG23).local_reads == 1
 
     def test_enclosed_updates_not_propagated(self):
         asr = make_asr()
@@ -66,7 +67,7 @@ class TestWalkThrough:
         # Same constant data: fresh ranges equal the old ones -> enclosed.
         asr.on_data(35.0)
         assert asr.stats.count(MessageKind.UPDATE) == before
-        assert asr.sites[SOURCE].row(SEG23).write_count == 0
+        assert asr.sites[SOURCE].directory.row(SEG23).write_count == 0
 
     def test_nonenclosed_update_pushed_to_subscribers(self):
         asr = make_asr()
@@ -80,8 +81,8 @@ class TestWalkThrough:
         assert asr.stats.count(MessageKind.UPDATE) > before
         # The walk-through's divergence: the source keeps refining silently,
         # so C1's (wider) range must still enclose the source's current one.
-        c1_lo, c1_hi = asr.sites["C1"].row(SEG23).approx
-        s_lo, s_hi = asr.sites[SOURCE].row(SEG23).approx
+        c1_lo, c1_hi = asr.sites["C1"].directory.row(SEG23).approx
+        s_lo, s_hi = asr.sites[SOURCE].directory.row(SEG23).approx
         assert c1_lo <= s_lo and s_hi <= c1_hi
 
     def test_contraction_under_write_pressure(self):
@@ -91,32 +92,36 @@ class TestWalkThrough:
         for __ in range(2):
             asr.on_query("C3", point_query(3, precision=200.0))
         asr.on_phase_end()
-        assert asr.sites["C3"].row(SEG23).is_cached
+        assert asr.sites["C3"].directory.row(SEG23).is_cached
         # Now oscillate values (writes) with no reads at C3.
         for i in range(8):
             asr.on_data(10.0 if i % 2 == 0 else 90.0)
         asr.on_phase_end()
-        assert not asr.sites["C3"].row(SEG23).is_cached
+        assert not asr.sites["C3"].directory.row(SEG23).is_cached
         assert asr.stats.count(MessageKind.UNSUBSCRIBE) >= 1
-        assert "C3" not in asr.sites["C1"].row(SEG23).subscribed
+        assert "C3" not in asr.sites["C1"].directory.row(SEG23).subscribed
 
 
 class TestProtocolProperties:
     def test_queries_before_warmup_rejected(self):
-        asr = SwatAsr(Topology.single_client(), N)
+        asr = AsyncSwatAsr(Topology.single_client(), N)
         asr.on_data(1.0)
         with pytest.raises(RuntimeError):
             asr.on_query("C1", point_query(0, precision=1.0))
 
-    def test_unknown_site_rejected(self):
+    def test_unknown_site_rejected(self, ambient_tracer):
+        """Rejected before the clock moves or a query span opens."""
         asr = make_asr()
         with pytest.raises(KeyError):
-            asr.on_query("C99", point_query(0))
+            asr.on_query("C99", point_query(0, precision=1.0), now=100.0)
+        assert asr.sim.now == 0.0
+        assert ambient_tracer.spans
+        assert all(span.finished for span in ambient_tracer.spans)
 
     def test_answers_respect_precision(self):
         """Midpoint answers are within delta of the truth."""
         rng = np.random.default_rng(0)
-        asr = SwatAsr(Topology.paper_example(), N)
+        asr = AsyncSwatAsr(Topology.paper_example(), N)
         stream = list(rng.uniform(0, 100, 200))
         for v in stream[:N]:
             asr.on_data(v)
@@ -134,7 +139,7 @@ class TestProtocolProperties:
 
     def test_precision_monotone_down_the_tree(self):
         rng = np.random.default_rng(1)
-        asr = SwatAsr(Topology.complete_binary_tree(6), 32)
+        asr = AsyncSwatAsr(Topology.complete_binary_tree(6), 32)
         for v in rng.uniform(0, 100, 32):
             asr.on_data(v)
         t = 0
@@ -146,11 +151,11 @@ class TestProtocolProperties:
                 asr.on_query(client, linear_query(16, precision=float(rng.uniform(5, 50))))
             if t % 15 == 0:
                 asr.on_phase_end()
-            assert asr.precision_is_monotone()
+            check_async_asr(asr)
 
     def test_approximation_count_bounded_by_sites_times_segments(self):
         asr = make_asr()
-        max_total = len(asr.topology) * len(asr.sites[SOURCE].segments)
+        max_total = len(asr.topology) * len(asr.sites[SOURCE].directory.segments)
         assert 0 < asr.approximation_count() <= max_total
 
     def test_source_always_answers_exactly(self):
@@ -164,7 +169,7 @@ class TestProtocolProperties:
         """A site may hold a replica only if its parent path holds one too
         (root excluded) — ADR's connectivity invariant."""
         rng = np.random.default_rng(2)
-        asr = SwatAsr(Topology.complete_binary_tree(6), 32)
+        asr = AsyncSwatAsr(Topology.complete_binary_tree(6), 32)
         for v in rng.uniform(0, 100, 32):
             asr.on_data(v)
         t = 0
@@ -176,12 +181,12 @@ class TestProtocolProperties:
                 asr.on_query(client, linear_query(8, precision=float(rng.uniform(2, 30))))
             if t % 10 == 0:
                 asr.on_phase_end()
-            for seg in asr.sites[SOURCE].segments:
+            for seg in asr.sites[SOURCE].directory.segments:
                 for node in asr.topology.clients:
-                    if asr.sites[node].row(seg).is_cached:
+                    if asr.sites[node].directory.row(seg).is_cached:
                         parent = asr.topology.parent(node)
                         if parent != SOURCE:
-                            assert asr.sites[parent].row(seg).is_cached
+                            assert asr.sites[parent].directory.row(seg).is_cached
 
 
 class TestSummaryRanges:
@@ -189,7 +194,7 @@ class TestSummaryRanges:
 
     def _run(self, use_summary):
         rng = np.random.default_rng(4)
-        asr = SwatAsr(Topology.paper_example(), N, use_summary_ranges=use_summary)
+        asr = AsyncSwatAsr(Topology.paper_example(), N, use_summary_ranges=use_summary)
         stream = rng.uniform(0, 100, 300)
         for v in stream[:N]:
             asr.on_data(v)
@@ -213,8 +218,8 @@ class TestSummaryRanges:
 
     def test_summary_ranges_enclose_true_ranges(self):
         asr, __ = self._run(use_summary=True)
-        for seg in asr.sites["S"].segments:
-            lo, hi = asr.sites["S"].row(seg).approx
+        for seg in asr.sites["S"].directory.segments:
+            lo, hi = asr.sites["S"].directory.row(seg).approx
             t_lo, t_hi = asr.window.segment_range(seg.newest, seg.oldest)
             assert lo <= t_lo + 1e-9 and t_hi <= hi + 1e-9
 
@@ -225,4 +230,4 @@ class TestSummaryRanges:
         assert summary.stats.total >= exact.stats.total
 
     def test_flag_default_off(self):
-        assert not SwatAsr(Topology.single_client(), N).use_summary_ranges
+        assert not AsyncSwatAsr(Topology.single_client(), N).use_summary_ranges

@@ -8,9 +8,9 @@ Three layers are pinned here:
   exactly, so their durations sum to the end-to-end latency by construction.
 * **Propagation** — transport retransmissions, duplicate deliveries, and
   crash retries all stay inside the originating trace (events chain under
-  the hop span that caused them); the sync protocols (ASR, APS, ADR) and
-  the async actor runtime produce connected trees with zero orphans even
-  under a seeded fault plan.
+  the hop span that caused them); the counted-call protocols (APS, ADR)
+  and the SWAT-ASR actor runtime produce connected trees with zero orphans
+  even under a seeded fault plan.
 * **Export** — the Chrome trace-event document round-trips through JSON and
   passes :func:`validate_chrome`, the same check the CI smoke step runs.
 """
@@ -47,21 +47,10 @@ from repro.obs.chrome import (
 )
 from repro.replication.adr import AdrObject
 from repro.replication.aps import AdaptivePrecision
-from repro.replication.asr import SwatAsr
+from repro.replication.async_asr import AsyncSwatAsr
 from repro.simulate.events import Simulator
 
 N = 16
-
-
-@pytest.fixture()
-def ambient_tracer():
-    """Install a process-wide tracer; restore the previous one on teardown."""
-    previous = disable_causal()
-    tracer = enable_causal(seed=0)
-    yield tracer
-    disable_causal()
-    if previous is not None:
-        enable_causal(previous)
 
 
 def make_query_trace(tracer):
@@ -406,7 +395,7 @@ class TestTransportPropagation:
 
 class TestSyncProtocolTraces:
     def test_asr_forwarded_query_trace(self, ambient_tracer):
-        asr = SwatAsr(Topology.paper_example(), N)
+        asr = AsyncSwatAsr(Topology.paper_example(), N)
         assert asr.causal is ambient_tracer
         for __ in range(N):
             asr.on_data(35.0)
@@ -423,7 +412,7 @@ class TestSyncProtocolTraces:
         assert all(s.parent_id != tree.root.span_id for s in responses)
 
     def test_asr_update_and_phase_traces(self, ambient_tracer):
-        asr = SwatAsr(Topology.paper_example(), N)
+        asr = AsyncSwatAsr(Topology.paper_example(), N)
         for __ in range(N):
             asr.on_data(35.0)
         asr.on_query("C3", point_query(3, precision=20.0))

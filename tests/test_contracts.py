@@ -11,7 +11,7 @@ import pytest
 from repro.contracts import (
     ENV_VAR,
     InvariantViolation,
-    check_asr,
+    check_async_asr,
     check_swat,
     invariants_enabled,
     resolve_check_flag,
@@ -19,7 +19,7 @@ from repro.contracts import (
 from repro.core.queries import linear_query
 from repro.core.swat import Swat
 from repro.network.topology import Topology
-from repro.replication.asr import SwatAsr
+from repro.replication.async_asr import AsyncSwatAsr
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,7 +34,7 @@ def warm_swat(window=32, n=100, **kwargs):
 
 def warm_asr(window=16, n=48, **kwargs):
     topo = Topology.paper_example()
-    asr = SwatAsr(topo, window, **kwargs)
+    asr = AsyncSwatAsr(topo, window, **kwargs)
     rng = np.random.default_rng(1)
     t = 0.0
     for v in rng.uniform(0, 100, n):
@@ -71,7 +71,7 @@ class TestCleanStructuresPass:
 
     def test_driven_asr_passes(self):
         __, asr = warm_asr(check_invariants=True)
-        check_asr(asr)
+        check_async_asr(asr)
 
 
 class TestSwatCorruption:
@@ -110,13 +110,13 @@ class TestSwatCorruption:
 class TestAsrCorruption:
     def test_non_monotone_directory_names_site_and_segment(self):
         topo, asr = warm_asr()
-        seg = asr.sites[topo.root].segments[0]
+        seg = asr.sites[topo.root].directory.segments[0]
         child = topo.clients[0]
         parent = topo.parent(child)
-        asr.sites[parent].row(seg).approx = (0.0, 10.0)
-        asr.sites[child].row(seg).approx = (0.0, 1.0)
+        asr.sites[parent].directory.row(seg).approx = (0.0, 10.0)
+        asr.sites[child].directory.row(seg).approx = (0.0, 1.0)
         with pytest.raises(InvariantViolation) as excinfo:
-            check_asr(asr)
+            check_async_asr(asr)
         message = str(excinfo.value)
         assert repr(child) in message
         assert repr(parent) in message
@@ -124,19 +124,19 @@ class TestAsrCorruption:
 
     def test_on_data_detects_corruption(self):
         topo, asr = warm_asr(check_invariants=True)
-        seg = asr.sites[topo.root].segments[0]
+        seg = asr.sites[topo.root].directory.segments[0]
         child = topo.clients[0]
-        asr.sites[topo.parent(child)].row(seg).approx = (0.0, 50.0)
-        asr.sites[child].row(seg).approx = (20.0, 21.0)
+        asr.sites[topo.parent(child)].directory.row(seg).approx = (0.0, 50.0)
+        asr.sites[child].directory.row(seg).approx = (20.0, 21.0)
         with pytest.raises(InvariantViolation):
             asr.on_data(42.0, now=1e6)
 
     def test_uncached_children_are_ignored(self):
         topo, asr = warm_asr()
-        seg = asr.sites[topo.root].segments[0]
+        seg = asr.sites[topo.root].directory.segments[0]
         child = topo.clients[0]
-        asr.sites[child].row(seg).approx = None
-        check_asr(asr)  # an empty cache offers infinite width; nothing to check
+        asr.sites[child].directory.row(seg).approx = None
+        check_async_asr(asr)  # an empty cache offers infinite width; nothing to check
 
 
 class TestSwitches:

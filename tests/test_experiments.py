@@ -99,6 +99,15 @@ class TestFig6:
 
 
 class TestFig9And10:
+    """Small-setting driver runs, with SWAT-ASR's totals and errors pinned
+    exactly: a protocol refactor must not move a single message or answer."""
+
+    @staticmethod
+    def assert_asr(rows, totals, errors):
+        assert [r["SWAT-ASR"] for r in rows] == list(totals)
+        for row, err in zip(rows, errors):
+            assert row["SWAT-ASR_err"] == pytest.approx(err, rel=1e-9, abs=1e-12)
+
     def test_fig9a_caching_wins_when_reads_dominate(self):
         rows = fig9a_rate_sweep(
             data="real", ratios=(0.5, 4.0), measure_time=150.0
@@ -106,6 +115,9 @@ class TestFig9And10:
         assert len(rows) == 2
         for r in rows:
             assert r["SWAT-ASR"] >= 0 and r["DC"] >= 0 and r["APS"] >= 0
+        self.assert_asr(
+            rows, (407, 413), (2.7474319116057207e-15, 0.009795333944153696)
+        )
 
     def test_fig9c_cost_grows_with_tighter_precision(self):
         rows = fig9c_precision_sweep(
@@ -113,18 +125,27 @@ class TestFig9And10:
         )
         loose, tight = rows[0], rows[1]
         assert tight["SWAT-ASR"] >= loose["SWAT-ASR"]
+        self.assert_asr(
+            rows, (368, 424), (0.42001695828943514, 2.1316282072803005e-15)
+        )
 
     def test_fig10a_multi_client(self):
         rows = fig10a_client_sweep(
             data="real", client_counts=(2, 6), measure_time=100.0
         )
         assert rows[1]["SWAT-ASR"] > rows[0]["SWAT-ASR"]  # more clients, more msgs
+        self.assert_asr(
+            rows, (539, 2231), (2.184918912462308e-15, 0.003966477647165524)
+        )
 
     def test_fig10b_runs(self):
         rows = fig10b_precision_sweep_multi(
             precisions=(20.0, 5.0), measure_time=100.0
         )
         assert len(rows) == 2
+        self.assert_asr(
+            rows, (2205, 2205), (5.340912897130087e-15, 5.340912897130087e-15)
+        )
 
     def test_space_complexity_table(self):
         rows = space_complexity(window_sizes=(32, 256), n_clients=6)

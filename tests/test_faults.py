@@ -29,7 +29,6 @@ from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
 from repro.network.transport import Envelope, Transport, TransportDrainError
 from repro.obs.trace import RecordingTracer
-from repro.replication.asr import SwatAsr
 from repro.replication.async_asr import AsyncSwatAsr
 from repro.simulate.events import Simulator
 
@@ -338,13 +337,6 @@ class TestZeroFaultBitIdentical:
         assert directory_state(plain) == directory_state(reliable)
         assert reliable.degraded_count() == 0
         assert reliable.transport.fault_counters()["dropped"] == 0
-
-    def test_zero_fault_plan_matches_sync_implementation(self):
-        topo = Topology.paper_example()
-        sync = SwatAsr(topo, N)
-        reliable = AsyncSwatAsr(topo, N, faults=FaultPlan())
-        assert run_schedule(sync, seed=3) == run_schedule(reliable, seed=3)
-        assert sync.stats.snapshot() == reliable.stats.snapshot()
 
 
 class TestExactlyOnceUnderChaos:

@@ -6,7 +6,7 @@ from repro.core.queries import point_query
 from repro.data import santa_barbara_temps
 from repro.network.topology import Topology
 from repro.replication import ReplicationConfig, make_protocol, run_replication
-from repro.replication.asr import SwatAsr
+from repro.replication.async_asr import AsyncSwatAsr
 
 STREAM = santa_barbara_temps()
 VR = (float(STREAM.min()) - 1.0, float(STREAM.max()) + 1.0)
@@ -14,14 +14,14 @@ VR = (float(STREAM.min()) - 1.0, float(STREAM.max()) + 1.0)
 
 class TestLastQueryHops:
     def test_asr_miss_counts_round_trip(self):
-        asr = SwatAsr(Topology.paper_example(), 16)
+        asr = AsyncSwatAsr(Topology.paper_example(), 16)
         for __ in range(16):
             asr.on_data(35.0)
         asr.on_query("C3", point_query(3, precision=20.0))
         assert asr.last_query_hops == 4  # 2 hops up, 2 back
 
     def test_asr_local_hit_is_zero_hops(self):
-        asr = SwatAsr(Topology.paper_example(), 16)
+        asr = AsyncSwatAsr(Topology.paper_example(), 16)
         for __ in range(16):
             asr.on_data(35.0)
         for __ in range(2):  # pull the replica down to C3 over two phases

@@ -12,7 +12,7 @@ from repro import Swat, obs
 from repro.core.queries import exponential_query, linear_query, point_query
 from repro.network.messages import MessageKind, MessageStats
 from repro.network.topology import Topology
-from repro.replication.asr import SwatAsr
+from repro.replication.async_asr import AsyncSwatAsr
 from repro.replication.harness import ReplicationConfig, run_replication
 
 
@@ -125,8 +125,10 @@ class TestHarnessWarmupExclusion:
         seed=3,
     )
 
-    def _run(self):
-        protocol = SwatAsr(Topology.single_client(), self.CONFIG.window_size)
+    def _run(self, **kwargs):
+        protocol = AsyncSwatAsr(
+            Topology.single_client(), self.CONFIG.window_size, **kwargs
+        )
         return protocol, run_replication(protocol, _stream(400, seed=3), self.CONFIG)
 
     def test_reported_messages_exclude_warmup(self, obs_registry):
@@ -143,7 +145,8 @@ class TestHarnessWarmupExclusion:
             assert snap["counters"].get(key, 0) == measured
 
     def test_reported_arrivals_exclude_warmup(self, obs_registry):
-        protocol, result = self._run()
+        # Summary ranges are the mode that keeps a SWAT at the source.
+        protocol, result = self._run(use_summary_ranges=True)
         metrics = result.meta["metrics"]
         measured_arrivals = int(self.CONFIG.measure_time / self.CONFIG.data_period)
         assert metrics["counters"]["swat.arrivals"] == measured_arrivals
@@ -159,14 +162,13 @@ class TestHarnessWarmupExclusion:
         assert hops["sum"] == pytest.approx(result.mean_query_hops * result.n_queries)
 
     def test_meta_empty_when_disabled(self, obs_disabled_guard):
-        protocol = SwatAsr(Topology.single_client(), self.CONFIG.window_size)
-        result = run_replication(protocol, _stream(400, seed=3), self.CONFIG)
+        protocol, result = self._run()
         assert "metrics" not in result.meta
 
-    def test_source_summary_tree_always_maintained(self):
-        # The paper's central site maintains the SWAT either way; only
-        # range derivation depends on use_summary_ranges.
-        asr = SwatAsr(Topology.single_client(), 8)
-        assert not asr.use_summary_ranges
+    def test_source_summary_tree_only_with_summary_ranges(self):
+        # Only summary-derived ranges read the source's SWAT, so only that
+        # mode maintains one on every arrival.
+        assert AsyncSwatAsr(Topology.single_client(), 8)._summary is None
+        asr = AsyncSwatAsr(Topology.single_client(), 8, use_summary_ranges=True)
         asr.on_data(1.0)
         assert asr._summary.time == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.queries import linear_query
 from repro.network.topology import SOURCE, Topology
-from repro.replication import AdaptivePrecision, DivergenceCaching, SwatAsr
+from repro.replication import AdaptivePrecision, AsyncSwatAsr, DivergenceCaching
 
 N = 16
 VR = (0.0, 100.0)
@@ -56,7 +56,7 @@ class TestPrecisionContracts:
     @settings(max_examples=25, deadline=None)
     def test_asr_never_violates_precision(self, steps):
         topo = Topology.paper_example()
-        asr = SwatAsr(topo, N, check_invariants=True)
+        asr = AsyncSwatAsr(topo, N, check_invariants=True)
         __, worst = drive(asr, steps, topo.clients)
         assert worst <= 1e-9
 
@@ -83,7 +83,7 @@ class TestCacheValidity:
     def test_asr_cached_ranges_enclose_truth(self, steps):
         """Every cached range at every site encloses the segment's true range."""
         topo = Topology.paper_example()
-        asr = SwatAsr(topo, N, check_invariants=True)
+        asr = AsyncSwatAsr(topo, N, check_invariants=True)
         rng_values = iter(np.random.default_rng(1).uniform(0, 100, 2000))
         for __ in range(N):
             asr.on_data(next(rng_values))
@@ -98,8 +98,8 @@ class TestCacheValidity:
                 client = topo.clients[client_idx % len(topo.clients)]
                 asr.on_query(client, linear_query(6, precision=precision), now=t)
             for node in topo.nodes:
-                for seg in asr.sites[SOURCE].segments:
-                    row = asr.sites[node].row(seg)
+                for seg in asr.sites[SOURCE].directory.segments:
+                    row = asr.sites[node].directory.row(seg)
                     if row.is_cached:
                         t_lo, t_hi = asr.window.segment_range(seg.newest, seg.oldest)
                         lo, hi = row.approx
