@@ -13,10 +13,9 @@ Two complementary views of summary memory:
   walking a tree per arrival.
 
 :class:`MemoryLedger` is the ensemble-wide incremental aggregate: per-stream
-byte counts with an O(1)-maintained total and a peak watermark.  Callers
-(:class:`~repro.core.multi.StreamEnsemble`) update entries on extend/refresh
-— and, thanks to ``Swat.memory_settled``, stop paying even that once a
-stream's footprint has provably stopped changing.
+byte counts with an O(1)-maintained total and a peak watermark.
+:class:`~repro.core.multi.StreamEnsemble` sets every stream's entry after
+each block it ingests and at phase boundaries.
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ class MemoryLedger:
     def get(self, stream: str) -> int:
         """Bytes last recorded for ``stream`` (0 when never recorded)."""
         return self._bytes.get(stream, 0)
-
-    def drop(self, stream: str) -> None:
-        """Forget a removed stream (idempotent)."""
-        self._total -= self._bytes.pop(stream, 0)
 
     @property
     def total(self) -> int:

@@ -11,14 +11,14 @@ correlation monitoring costs ``O(k log N)`` memory per stream instead of
 
 Serving goes through one lazily created
 :class:`~repro.core.engine.QueryEngine` per stream (plan-cached reads):
-:meth:`StreamEnsemble.answer_all` / :meth:`StreamEnsemble.answer_batch`
-serve the streams one after another in name order.
+:meth:`StreamEnsemble.answer_batch` serves the streams one after another in
+name order.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class StreamEnsemble:
         self._trees[name] = tree
         self.ledger.set(name, tree.nbytes)
         return tree
-
-    def remove_stream(self, name: str) -> None:
-        if name not in self._trees:
-            raise KeyError(f"no stream {name!r}")
-        del self._trees[name]
-        self._engines.pop(name, None)
-        self.ledger.drop(name)
 
     # ------------------------------------------------------ resource control
 
@@ -233,34 +226,6 @@ class StreamEnsemble:
         self._ticks += 1
         self._after_ingest(self._ticks - 1, self._ticks)
 
-    def extend(self, rows: Iterable[Mapping[str, float]]) -> None:
-        """Ingest many synchronized ticks given row-wise (``{name: value}``).
-
-        Rows are transposed into per-stream columns so each tree ingests its
-        whole column through :meth:`Swat.extend`'s batched fast path; the
-        per-tick validation of :meth:`update` still applies to every row.
-        """
-        materialized = list(rows)
-        if not materialized:
-            return
-        registered = set(self._trees)
-        for row in materialized:
-            missing = registered - set(row)
-            if missing:
-                raise ValueError(f"missing values for streams {sorted(missing)}")
-            unknown = set(row) - registered
-            if unknown:
-                raise KeyError(f"unknown streams {sorted(unknown)}")
-        columns = {
-            name: np.fromiter(
-                (float(row[name]) for row in materialized),
-                dtype=np.float64,
-                count=len(materialized),
-            )
-            for name in self._trees
-        }
-        self.extend_columns(columns)
-
     def extend_columns(self, columns: Mapping[str, Sequence[float]]) -> None:
         """Ingest a block of synchronized ticks given column-wise.
 
@@ -305,12 +270,18 @@ class StreamEnsemble:
             self._engines[name] = eng
         return eng
 
-    def _serve(
-        self,
-        span_name: str,
-        queries_by_stream: Mapping[str, Sequence[InnerProductQuery]],
+    def answer_batch(
+        self, queries_by_stream: Mapping[str, Sequence[InnerProductQuery]]
     ) -> Dict[str, List[QueryAnswer]]:
-        """Answer per-stream batches in stream-name order."""
+        """Answer per-stream query batches, in stream-name order.
+
+        ``queries_by_stream`` maps stream names to their query lists; streams
+        not mentioned are not served.  Within each stream the answers come
+        from :meth:`QueryEngine.answer_batch`, so they are bit-identical to
+        sequential :meth:`Swat.answer` calls.
+        """
+        if not queries_by_stream:
+            return {}
         names = sorted(queries_by_stream)
         unknown = set(names) - set(self._trees)
         if unknown:
@@ -330,7 +301,7 @@ class StreamEnsemble:
             }
         root = (
             self.causal.start_span(
-                span_name,
+                "ensemble.answer_batch",
                 at=time.perf_counter(),
                 site="ensemble",
                 streams=len(names),
@@ -347,31 +318,6 @@ class StreamEnsemble:
         if root is not None:
             root.finish(time.perf_counter())
         return results
-
-    def answer_all(self, query: InnerProductQuery) -> Dict[str, QueryAnswer]:
-        """Answer one query against every stream.
-
-        Answers are bit-identical to ``tree(name).answer(query)``.
-        """
-        if not self._trees:
-            return {}
-        batches = {name: [query] for name in self._trees}
-        grouped = self._serve("ensemble.answer_all", batches)
-        return {name: answers[0] for name, answers in grouped.items()}
-
-    def answer_batch(
-        self, queries_by_stream: Mapping[str, Sequence[InnerProductQuery]]
-    ) -> Dict[str, List[QueryAnswer]]:
-        """Answer per-stream query batches.
-
-        ``queries_by_stream`` maps stream names to their query lists; streams
-        not mentioned are not served.  Within each stream the answers come
-        from :meth:`QueryEngine.answer_batch`, so they are bit-identical to
-        sequential :meth:`Swat.answer` calls.
-        """
-        if not queries_by_stream:
-            return {}
-        return self._serve("ensemble.answer_batch", queries_by_stream)
 
     # ----------------------------------------------------------- correlation
 

@@ -146,8 +146,8 @@ class Swat:
     track_deviation:
         Maintain a certified per-node bound on max |true - reconstruction|
         (Section 3's "range denoting the maximum deviation").  Answers then
-        carry an ``error_bound`` and :meth:`can_answer` checks a query's
-        precision requirement.  Defined for 1-coefficient Haar trees.
+        carry an ``error_bound`` to compare with a query's precision
+        requirement.  Defined for 1-coefficient Haar trees.
     selection:
         Which ``k`` coefficients a node retains: ``"first"`` (the coarsest
         ``k``, the paper's default reading) or ``"largest"`` (the top-``k``
@@ -227,9 +227,6 @@ class Swat:
         # refresh cadence; while settling, ingestion takes the scalar path
         # and queries may extrapolate across the not-yet-refilled levels.
         self._settling = False
-        # Arrival clock value after which nbytes can no longer drift (node
-        # coefficient vectors have all been refreshed at the current k).
-        self._nbytes_settled_at = 0
 
     # ------------------------------------------------------------------ state
 
@@ -310,21 +307,6 @@ class Swat:
             for node in lv.values():
                 total += node.nbytes
         return total
-
-    @property
-    def memory_settled(self) -> bool:
-        """True when :attr:`nbytes` can no longer change without a reconfigure.
-
-        A warm, non-settling tree whose nodes have all refreshed since the
-        last :meth:`reconfigure` holds a constant number of array bytes; the
-        ensemble ledger uses this O(1) check to skip per-arrival accounting
-        on steady-state trees.
-        """
-        return (
-            not self._settling
-            and self._time >= self.window_size
-            and self._time >= self._nbytes_settled_at
-        )
 
     def node(self, level: int, role: str) -> SwatNode:
         """Access a node by level and role (``"R"``, ``"S"``, ``"L"``)."""
@@ -734,7 +716,6 @@ class Swat:
                 changed = True
         if changed:
             self.epoch += 1
-            self._nbytes_settled_at = self._time + 2 * self.window_size
             if self._check_invariants:
                 contracts.check_swat(self)
         return changed
@@ -788,8 +769,7 @@ class Swat:
         """Answer an inner-product (or point) query approximately.
 
         With ``track_deviation`` on, the result carries a certified
-        ``error_bound``; :meth:`can_answer` compares it to the query's
-        precision requirement.
+        ``error_bound`` to compare with the query's precision requirement.
         """
         _t0 = (
             time.perf_counter()
@@ -811,17 +791,6 @@ class Swat:
                 time.perf_counter(), cover=len(answer.nodes_used)
             )
         return answer
-
-    def can_answer(self, query: InnerProductQuery) -> bool:
-        """True when the certified error bound meets the query precision."""
-        if not self.track_deviation:
-            raise ValueError("construct the tree with track_deviation=True")
-        bound = self.answer(query).error_bound
-        return bound is not None and bound <= query.precision
-
-    def point_estimate(self, index: int) -> float:
-        """Approximate value of the stream at window index ``index``."""
-        return float(self.estimates([index])[0])
 
     def answer_range(self, query: RangeQuery) -> List[Tuple[int, float]]:
         """Answer a range query (Section 2.4).

@@ -1,6 +1,5 @@
 """Datasets and workloads: synthetic streams, the weather substitute, queries."""
 
-from .loaders import load_series, save_series
 from .synthetic import drift_stream, random_walk_stream, stream_iter, uniform_stream
 from .weather import N_DAYS, santa_barbara_temps
 from .workload import QUERY_KINDS, FixedWorkload, RandomWorkload, make_query
@@ -16,6 +15,4 @@ __all__ = [
     "RandomWorkload",
     "make_query",
     "QUERY_KINDS",
-    "load_series",
-    "save_series",
 ]

@@ -1,8 +1,8 @@
-"""Histogram baseline: Guha-Koudas approximate histograms (batch, query-time
-sliding-window rebuild, and native per-arrival incremental maintenance)."""
+"""Histogram baseline: Guha-Koudas approximate histograms, rebuilt over the
+sliding window at query time, and the exact V-optimal histogram they are
+checked against."""
 
 from .approx import approximate_histogram, breakpoint_positions
-from .incremental import IncrementalHistogram
 from .prefix import PrefixStats
 from .summarizer import HistogramSummary
 from .vopt import Bucket, Histogram, sse_of_partition, vopt_histogram
@@ -12,7 +12,6 @@ __all__ = [
     "breakpoint_positions",
     "PrefixStats",
     "HistogramSummary",
-    "IncrementalHistogram",
     "Bucket",
     "Histogram",
     "vopt_histogram",

@@ -55,7 +55,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from ..obs import metrics as obs
 from ..obs.causal import CausalTracer, Span, TraceContext, current_causal
-from ..obs.trace import FaultRecord, HopRecord, Tracer
 from ..simulate import shake as shake_mod
 from ..simulate.events import Simulator
 from .faults import FaultPlan
@@ -98,8 +97,8 @@ class Envelope:
 
     ``payload`` is snapshotted at construction and exposed read-only
     (``MappingProxyType``): duplicated or retried deliveries of the same
-    envelope must never observe each other's mutations, and neither the
-    sender nor a tracer can alter what a handler sees.  ``msg_id`` is set in
+    envelope must never observe each other's mutations, and the sender
+    cannot alter what a handler sees.  ``msg_id`` is set in
     reliable mode only and keys ack/retry/dedup bookkeeping.
 
     ``trace`` is the causal trace context this envelope travels under (the
@@ -113,7 +112,6 @@ class Envelope:
     dst: str
     kind: str
     payload: Mapping[str, Any] = field(default_factory=dict)
-    sent_at: float = 0.0
     msg_id: Optional[int] = None
     trace: Optional[TraceContext] = None
     #: Intrinsic fault-roll identity ``(edge hash, per-edge sequence)``; set
@@ -157,8 +155,6 @@ class Transport:
     latency:
         Per-hop delivery delay in virtual seconds (0 = same-instant delivery,
         still in FIFO event order).
-    tracer:
-        Optional per-envelope trace sink (send / deliver / fault hooks).
     causal:
         Optional :class:`~repro.obs.causal.CausalTracer`; defaults to the
         process-wide tracer active at construction
@@ -189,7 +185,6 @@ class Transport:
         sim: Simulator,
         topology: Topology,
         latency: float = 0.0,
-        tracer: Optional[Tracer] = None,
         causal: Optional[CausalTracer] = None,
         faults: Optional[FaultPlan] = None,
         retry_timeout: Optional[float] = None,
@@ -208,9 +203,6 @@ class Transport:
         self.topology = topology
         self.latency = latency
         self.stats = MessageStats()
-        #: Optional per-envelope trace sink (send + deliver + fault hooks);
-        #: ``None`` keeps the hot path at one attribute check.
-        self.tracer: Optional[Tracer] = tracer
         #: Optional causal tracer; picked up from the process-wide switch at
         #: construction unless passed explicitly.
         self.causal: Optional[CausalTracer] = (
@@ -297,10 +289,6 @@ class Transport:
         if kind not in MessageKind.ALL:
             raise ValueError(f"unknown message kind {kind!r}")
         self.stats.record(kind)
-        if self.tracer is not None:
-            self.tracer.on_send(src, dst, kind, self.sim.now)
-        if obs.ENABLED:
-            obs.counter("transport.sent").inc()
         ctx = trace if trace is not None else self.sim.current_context
         span: Optional[Span] = None
         if self.causal is not None:
@@ -314,7 +302,7 @@ class Transport:
             )
             ctx = span.context
         if self.faults is None:
-            env = Envelope(src, dst, kind, dict(payload or {}), self.sim.now, trace=ctx)
+            env = Envelope(src, dst, kind, dict(payload or {}), trace=ctx)
             self._track(env)
             self.sim.schedule_after(
                 self.latency,
@@ -332,7 +320,6 @@ class Transport:
             dst,
             kind,
             dict(payload or {}),
-            self.sim.now,
             msg_id=msg_id,
             trace=ctx,
             fault_key=(_edge_hash(src, dst, kind), seq),
@@ -355,24 +342,11 @@ class Transport:
 
     def _deliver(self, env: Envelope, span: Optional[Span] = None) -> None:
         self._untrack(env)
-        if self.tracer is not None:
-            self.tracer.on_deliver(
-                HopRecord(env.src, env.dst, env.kind, env.sent_at, self.sim.now)
-            )
-        if obs.ENABLED:
-            obs.counter("transport.delivered").inc()
-            obs.histogram("transport.hop_latency").observe(self.sim.now - env.sent_at)
         if span is not None:
             span.finish(self.sim.now, status="delivered")
         self._handlers[env.dst](env)
 
     # --------------------------------------------------- reliable-mode path
-
-    def _on_fault(self, fault: str, env: Envelope, detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.on_fault(
-                FaultRecord(fault, env.src, env.dst, env.kind, self.sim.now, detail)
-            )
 
     def _causal_event(self, span: Optional[Span], name: str, **annotations: object) -> None:
         """Record an instant child event under a hop span (no-op when causal
@@ -395,21 +369,18 @@ class Transport:
         if plan.roll_drop(key=base + (_ROLL_DROP,)):
             copies = 0
             self.dropped += 1
-            self._on_fault("drop", env)
             self._causal_event(pending.span, "drop", attempt=pending.attempts)
             if obs.ENABLED:
                 obs.counter("transport.dropped", reason="drop").inc()
         elif plan.roll_duplicate(key=base + (_ROLL_DUPLICATE,)):
             copies = 2
             self.duplicated += 1
-            self._on_fault("duplicate", env)
             self._causal_event(pending.span, "duplicate", attempt=pending.attempts)
             if obs.ENABLED:
                 obs.counter("transport.duplicated").inc()
         for copy_idx in range(copies):
             extra = plan.roll_jitter(key=base + (_ROLL_JITTER, copy_idx))
             if extra > 0:
-                self._on_fault("jitter", env, detail=f"{extra:.6f}")
                 self._causal_event(pending.span, "jitter", extra=round(extra, 6))
             self.sim.schedule_after(
                 self.latency + extra,
@@ -436,7 +407,6 @@ class Transport:
         span = pending.span if pending is not None else None
         if plan.is_crashed(env.dst, self.sim.now):
             self.dropped += 1
-            self._on_fault("crash", env)
             self._causal_event(span, "crash", crashed=env.dst)
             if obs.ENABLED:
                 obs.counter("transport.dropped", reason="crash").inc()
@@ -462,13 +432,6 @@ class Transport:
             self._send_ack(env)
             return
         seen.add(env.msg_id)
-        if self.tracer is not None:
-            self.tracer.on_deliver(
-                HopRecord(env.src, env.dst, env.kind, env.sent_at, self.sim.now)
-            )
-        if obs.ENABLED:
-            obs.counter("transport.delivered").inc()
-            obs.histogram("transport.hop_latency").observe(self.sim.now - env.sent_at)
         if pending is not None and pending.span is not None and not pending.span.finished:
             pending.span.finish(
                 self.sim.now, status="delivered", attempts=pending.attempts
@@ -493,14 +456,8 @@ class Transport:
         self.acks += 1
         if obs.ENABLED:
             obs.counter("transport.acks").inc()
-        if self.tracer is not None:
-            self.tracer.on_send(env.dst, env.src, MessageKind.ACK, self.sim.now)
         if plan.roll_drop(key=ack_key + (_ROLL_ACK_DROP,)):
             self.dropped += 1
-            self._on_fault(
-                "drop",
-                Envelope(env.dst, env.src, MessageKind.ACK, {}, self.sim.now),
-            )
             if self.causal is not None and env.trace is not None:
                 self.causal.event(
                     "ack_drop", at=self.sim.now, parent=env.trace, site=env.dst
@@ -536,7 +493,6 @@ class Transport:
             del self._pending[msg_id]
             self._untrack(env)
             self.failed += 1
-            self._on_fault("give_up", env, detail=f"attempts={pending.attempts}")
             self._causal_event(pending.span, "give_up", attempts=pending.attempts)
             if pending.span is not None and not pending.span.finished:
                 pending.span.finish(self.sim.now, status="failed")
@@ -548,7 +504,6 @@ class Transport:
         self.retries += 1
         if obs.ENABLED:
             obs.counter("transport.retries").inc()
-        self._on_fault("retry", env, detail=f"attempt={pending.attempts + 1}")
         self._causal_event(pending.span, "retry", attempt=pending.attempts + 1)
         self._transmit(pending)
 

@@ -1,12 +1,9 @@
-"""Observability: metrics registry, tracing hooks, and exporters.
+"""Observability: metrics registry, causal tracing, and exporters.
 
-Three small modules:
+Four small modules:
 
 * :mod:`repro.obs.metrics` — process-local counters / gauges / histograms,
   off by default, cheap enough to leave on (one dict lookup + add per event);
-* :mod:`repro.obs.trace` — structured spans for the event simulator and
-  per-hop records for the message transport, behind a ``tracer`` attribute
-  that defaults to ``None`` (one attribute check when disabled);
 * :mod:`repro.obs.export` — JSON and Prometheus-style serialization plus the
   human-readable report behind ``repro stats``;
 * :mod:`repro.obs.causal` — trace contexts, per-operation span trees, and
@@ -69,7 +66,6 @@ from .metrics import (
     set_registry,
     snapshot_delta,
 )
-from .trace import EventSpan, HopRecord, RecordingTracer, Tracer
 
 __all__ = [
     "Counter",
@@ -87,10 +83,6 @@ __all__ = [
     "histogram",
     "metrics_snapshot",
     "snapshot_delta",
-    "EventSpan",
-    "HopRecord",
-    "Tracer",
-    "RecordingTracer",
     "TraceContext",
     "Span",
     "SpanTree",

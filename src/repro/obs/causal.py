@@ -1,8 +1,7 @@
 """Causal tracing: trace contexts, span trees, and critical-path analysis.
 
 The metrics registry (:mod:`repro.obs.metrics`) counts *how many* events
-happened and the flat tracer (:mod:`repro.obs.trace`) records *that* they
-happened — but neither links them.  This module adds the causal layer: every
+happened but does not link them.  This module adds the causal layer: every
 query, update push, and transport hop becomes a :class:`Span` in a tree
 rooted at the operation that caused it, so a degraded answer can be traced
 back to the exact drop, retry, or stale-version rejection that produced it.

@@ -7,10 +7,9 @@ with a single data stream" (Section 2.7) with periodic data arrivals (period
 priority queue of timestamped callbacks, and deterministic FIFO ordering for
 simultaneous events.
 
-Tracing: set :attr:`Simulator.tracer` to a :class:`repro.obs.trace.Tracer`
-to receive an :class:`~repro.obs.trace.EventSpan` per executed event
-(scheduled-at, fired-at, action label, wall-clock duration).  The default is
-``None``, so a non-traced run pays one attribute check per event.
+Causal tracing rides on the events: an event scheduled with a ``ctx`` runs
+with that context as :attr:`Simulator.current_context`, so work it causes
+attaches to the right span (see :mod:`repro.obs.causal`).
 
 Determinism sanitizer hooks (see :mod:`repro.simulate.shake` and
 ``docs/static-analysis.md``, "Determinism sanitizer"):
@@ -32,21 +31,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from typing import Callable, List, Optional, Protocol, Tuple
 
 from ..obs.causal import TraceContext
-from ..obs.trace import EventSpan, Tracer
 
 __all__ = ["EventProbe", "Simulator"]
 
 Action = Callable[[], None]
 
-# (due time, tie-break key, FIFO sequence / event id, action, trace label,
-#  scheduled-at time, causal trace context, scheduling parent's event id)
+# (due time, tie-break key, FIFO sequence / event id, action, probe label,
+#  causal trace context, scheduling parent's event id)
 _QueueEntry = Tuple[
-    float, float, int, Action, Optional[str], float, Optional[TraceContext],
-    Optional[int],
+    float, float, int, Action, Optional[str], Optional[TraceContext], Optional[int],
 ]
 
 
@@ -66,7 +62,7 @@ class EventProbe(Protocol):
 
 
 def _label_of(action: Action) -> str:
-    """Best-effort action label for traces (qualified name where available)."""
+    """Best-effort action label for probes (qualified name where available)."""
     return getattr(action, "__qualname__", None) or repr(action)
 
 
@@ -82,17 +78,11 @@ class Simulator:
     ``repro shake``.  Distinct timestamps are never reordered.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        tiebreak: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, tiebreak: Optional[Callable[[], float]] = None) -> None:
         self._now = 0.0
         self._queue: List[_QueueEntry] = []
         self._counter = itertools.count()
         self._events_run = 0
-        #: Optional structured-trace sink; ``None`` disables tracing.
-        self.tracer: Optional[Tracer] = tracer
         #: Optional race-detector hook; ``None`` disables event attribution.
         self.probe: Optional[EventProbe] = None
         self._tiebreak = tiebreak
@@ -140,7 +130,7 @@ class Simulator:
     ) -> None:
         """Schedule ``action`` at absolute virtual time ``when``.
 
-        ``label`` names the event in trace spans; it defaults to the
+        ``label`` names the event to the :attr:`probe`; it defaults to the
         action's qualified name.  ``ctx`` is the causal trace context the
         action runs under (exposed as :attr:`current_context` while it
         fires); ``None`` propagates nothing.
@@ -150,8 +140,7 @@ class Simulator:
         tb = 0.0 if self._tiebreak is None else self._tiebreak()
         heapq.heappush(
             self._queue,
-            (when, tb, next(self._counter), action, label, self._now,
-             ctx, self._current_event),
+            (when, tb, next(self._counter), action, label, ctx, self._current_event),
         )
 
     def schedule_after(
@@ -170,38 +159,16 @@ class Simulator:
         """Execute the next event; return False if the queue is empty."""
         if not self._queue:
             return False
-        when, _tb, seq, action, label, scheduled_at, ctx, parent = heapq.heappop(
-            self._queue
-        )
+        when, _tb, seq, action, label, ctx, parent = heapq.heappop(self._queue)
         self._now = when
         self._events_run += 1
         self._current_ctx = ctx
         self._current_event = seq
-        tracer = self.tracer
         probe = self.probe
         if probe is not None:
             probe.begin_event(seq, parent, when, label or _label_of(action))
         try:
-            if tracer is None:
-                action()
-            else:
-                start = time.perf_counter()
-                try:
-                    action()
-                finally:
-                    # Emit the span even when the action raises: a trace that
-                    # silently loses the very event that failed is useless for
-                    # post-mortems, and downstream bookkeeping (e.g. transport
-                    # in-flight counters) relies on step() not skipping hooks.
-                    tracer.on_event_span(
-                        EventSpan(
-                            seq=seq,
-                            label=label or _label_of(action),
-                            scheduled_at=scheduled_at,
-                            fired_at=when,
-                            duration=time.perf_counter() - start,
-                        )
-                    )
+            action()
         finally:
             self._current_ctx = None
             self._current_event = None

@@ -3,12 +3,10 @@
 * :class:`ExponentialHistogram` / :class:`EhSum` — Datar et al. sliding-window
   count/sum maintenance;
 * :class:`SurfingWavelets` — Gilbert et al. top-B wavelet synopsis of the
-  whole stream (the closest prior work to SWAT);
-* :class:`AmsSketch` — Alon-Matias-Szegedy frequency-moment sketches.
+  whole stream (the closest prior work to SWAT).
 """
 
-from .ams import AmsSketch
 from .exponential_histogram import EhSum, ExponentialHistogram
 from .surfing import SurfingWavelets
 
-__all__ = ["AmsSketch", "EhSum", "ExponentialHistogram", "SurfingWavelets"]
+__all__ = ["EhSum", "ExponentialHistogram", "SurfingWavelets"]

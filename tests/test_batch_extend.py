@@ -243,7 +243,7 @@ class TestVectorizedExtraction:
         size = tree.size
         indices = list(rng.integers(0, size, size=min(size, 17)))
         bulk = tree.estimates(indices)
-        singles = np.array([tree.point_estimate(int(i)) for i in indices])
+        singles = np.array([tree.estimates([int(i)])[0] for i in indices])
         np.testing.assert_array_equal(bulk, singles)
 
     def test_reduced_tree_extrapolation_unchanged(self):
@@ -432,14 +432,6 @@ class TestEnsembleAndTruthBatch:
         b.extend_columns({"x": xs, "y": ys})
         assert tree_bits(b.tree("x")) == tree_bits(a.tree("x"))
         assert tree_bits(b.tree("y")) == tree_bits(a.tree("y"))
-
-    def test_extend_rows_transposes_to_columns(self):
-        ens = StreamEnsemble(8)
-        ens.add_stream("x")
-        ens.add_stream("y")
-        ens.extend({"x": float(i), "y": float(-i)} for i in range(12))
-        assert ens.tree("x").time == 12
-        assert ens.tree("y").point_estimate(0) == pytest.approx(-11.0)
 
     def test_extend_columns_validates_lengths_and_names(self):
         ens = StreamEnsemble(8)

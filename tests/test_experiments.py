@@ -36,12 +36,20 @@ class TestDatasets:
         assert lo <= data.min() and data.max() <= hi
 
 
+def pinned(values):
+    """Exact pin of driver outputs, as ``TestFig9And10`` pins its errors."""
+    return pytest.approx(values, rel=1e-9, abs=1e-12)
+
+
 class TestFig4:
+    """Small-setting driver runs; besides the paper's trends, the outputs are
+    pinned exactly so a refactor cannot move a figure unnoticed."""
+
     def test_fig4a_small(self):
         out = fig4a_relative_error(n_points=800, window_size=256, query_length=32)
-        assert out["relative"].size > 0
+        assert out["relative"].size == 544
         assert out["cumulative"].size == out["relative"].size
-        assert 0 <= out["mean"] < 1.0
+        assert out["mean"] == pinned(0.04011881311940881)
 
     def test_fig4a_cumulative_is_running_mean(self):
         out = fig4a_relative_error(n_points=600, window_size=256, query_length=16)
@@ -57,6 +65,15 @@ class TestFig4:
         assert exp[-1] >= exp[0]
         # The paper's core claim: linear error grows much faster.
         assert lin[-1] / max(lin[0], 1e-12) > exp[-1] / max(exp[0], 1e-12)
+        assert [r["min_level"] for r in rows] == [0, 1, 2, 3, 4, 5]
+        assert exp == pinned([
+            11.286509471632655, 22.09833865336869, 25.974686542103687,
+            27.41208755701395, 27.91831004819329, 27.46651694454223,
+        ])
+        assert lin == pinned([
+            17.939113504451335, 26.360338978584164, 31.6205123147554,
+            45.47933332518108, 58.23689317971083, 61.109261499343454,
+        ])
 
 
 class TestFig5:
@@ -68,6 +85,12 @@ class TestFig5:
         )
         by_kind = {r["kind"]: r for r in rows}
         assert by_kind["exponential"]["swat"] < by_kind["exponential"]["hist_eps_0.1"]
+        # (swat, hist_eps_0.1) per kind, exponential then linear.
+        assert [r["kind"] for r in rows] == ["exponential", "linear"]
+        assert [v for r in rows for v in (r["swat"], r["hist_eps_0.1"])] == pinned([
+            0.007224662807960358, 0.020309575583740868,
+            0.011241691489668174, 0.0039031529089453595,
+        ])
 
     def test_fig5_random_mode_runs(self):
         rows = fig5_error_comparison(
@@ -76,6 +99,11 @@ class TestFig5:
         )
         assert len(rows) == 2
         assert all(np.isfinite(r["swat"]) for r in rows)
+        assert [r["kind"] for r in rows] == ["exponential", "linear"]
+        assert [v for r in rows for v in (r["swat"], r["hist_eps_0.1"])] == pinned([
+            0.16050496774347156, 0.11549873539589818,
+            0.06819309151533116, 0.032686788163167634,
+        ])
 
     def test_fig5_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from repro.network.faults import CrashWindow, FaultPlan
 from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
 from repro.network.transport import Envelope, Transport, TransportDrainError
-from repro.obs.trace import RecordingTracer
 from repro.replication.async_asr import AsyncSwatAsr
 from repro.simulate.events import Simulator
 
@@ -181,22 +180,6 @@ class TestReliableDelivery:
         assert sorted(seqs) == list(range(10))
         assert seqs != list(range(10))  # seeded to actually reorder
 
-    def test_tracer_sees_fault_records(self):
-        tracer = RecordingTracer()
-        topo = Topology.single_client()
-        sim = Simulator()
-        tr = Transport(
-            sim, topo, tracer=tracer, faults=FaultPlan(drop_rate=1.0),
-            retry_timeout=0.1, max_retries=1,
-        )
-        tr.register("C1", lambda env: None)
-        tr.send(SOURCE, "C1", MessageKind.UPDATE)
-        tr.drain()
-        kinds = [record.fault for record in tracer.faults]
-        assert kinds.count("drop") == 2
-        assert kinds.count("retry") == 1
-        assert kinds.count("give_up") == 1
-
 
 class TestEnvelopePayloadFrozen:
     def test_handler_cannot_mutate_payload(self):
@@ -279,19 +262,6 @@ class TestHandlerRaises:
         tr.drain()
         assert tr.in_flight == 0
         assert tr.acks >= 1
-
-    def test_event_span_emitted_when_action_raises(self):
-        tracer = RecordingTracer()
-        sim = Simulator(tracer=tracer)
-
-        def boom():
-            raise ValueError("exploding event")
-
-        sim.schedule_at(1.0, boom, label="boom")
-        with pytest.raises(ValueError, match="exploding event"):
-            sim.step()
-        assert [span.label for span in tracer.spans] == ["boom"]
-        assert tracer.spans[0].fired_at == 1.0
 
 
 def run_schedule(proto, seed=0, steps=120):

@@ -15,16 +15,20 @@ def fill(ensemble, columns):
         ensemble.update({name: col[i] for name, col in columns.items()})
 
 
+def answer_every(ensemble, query):
+    """``query`` against every stream, through one ``answer_batch`` call."""
+    out = ensemble.answer_batch({name: [query] for name in ensemble.streams})
+    return {name: answers[0] for name, answers in out.items()}
+
+
 class TestManagement:
-    def test_add_remove(self):
+    def test_add_streams_listed_in_name_order(self):
         e = StreamEnsemble(32)
+        b = e.add_stream("b")
         e.add_stream("a")
-        e.add_stream("b")
         assert e.streams == ["a", "b"]
-        e.remove_stream("a")
-        assert e.streams == ["b"]
-        with pytest.raises(KeyError):
-            e.remove_stream("a")
+        assert e.tree("b") is b
+        assert len(e) == 2
 
     def test_duplicate_rejected(self):
         e = StreamEnsemble(32)
@@ -150,10 +154,10 @@ class TestShardedServing:
         fill(e, {name: rng.normal(size=3 * window) for name in streams})
         return e
 
-    def test_answer_all_bit_identical_to_scalar(self):
+    def test_answer_batch_bit_identical_to_scalar(self):
         e = self._filled()
         q = InnerProductQuery((0, 4, 9, 17), (1.0, -0.5, 2.0, 0.25))
-        out = e.answer_all(q)
+        out = answer_every(e, q)
         assert sorted(out) == e.streams
         for name, answer in out.items():
             want = e.tree(name).answer(q)
@@ -174,7 +178,7 @@ class TestShardedServing:
 
     def test_single_shard_runs_inline(self):
         e = self._filled()
-        out = e.answer_all(point_query(2))
+        out = answer_every(e, point_query(2))
         assert len(out) == 5
         assert e.serve_shards == 1
         assert StreamEnsemble(32, serve_shards=1).serve_shards == 1
@@ -187,25 +191,18 @@ class TestShardedServing:
     def test_empty_requests(self):
         e = self._filled()
         assert e.answer_batch({}) == {}
-        assert StreamEnsemble(32).answer_all(point_query(0)) == {}
-
-    def test_remove_stream_drops_engine(self):
-        e = self._filled()
-        e.answer_all(point_query(1))  # engines exist
-        e.remove_stream("c")
-        out = e.answer_all(point_query(1))
-        assert sorted(out) == ["a", "b", "d", "e"]
+        assert answer_every(StreamEnsemble(32), point_query(0)) == {}
 
     def test_serving_repeats_hit_plan_cache(self):
         e = self._filled()
         q = point_query(3)
-        e.answer_all(q)
-        e.answer_all(q)
+        answer_every(e, q)
+        answer_every(e, q)
         assert sum(e.engine(n).hits for n in e.streams) >= len(e.streams)
 
     def test_batch_size_metric_recorded(self, obs_registry):
         e = self._filled()
-        e.answer_all(point_query(0))
+        answer_every(e, point_query(0))
         snap = obs_registry.snapshot()
         assert snap["histograms"]["ensemble.batch_size"]["sum"] == len(e.streams)
 
@@ -220,6 +217,6 @@ class TestShardedServing:
         q = InnerProductQuery((1, 6, 12), (0.5, 1.5, -2.0))
         for _ in range(10):
             fill(e, {name: rng.normal(size=3) for name in e.streams})
-            out = e.answer_all(q)
+            out = answer_every(e, q)
             for name, answer in out.items():
                 assert answer.value == e.tree(name).answer(q).value

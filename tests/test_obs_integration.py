@@ -143,6 +143,15 @@ class TestHarnessWarmupExclusion:
         for kind, measured in result.by_kind.items():
             key = 'messages.{}{{protocol="SWAT-ASR"}}'.format(kind)
             assert snap["counters"].get(key, 0) == measured
+        # MessageStats is the one message count: the fault-free transport
+        # keeps no unlabelled copy that warm-up traffic would inflate.
+        transport_series = [
+            key
+            for section in ("counters", "histograms")
+            for key in snap[section]
+            if key.startswith("transport.")
+        ]
+        assert transport_series == []
 
     def test_reported_arrivals_exclude_warmup(self, obs_registry):
         # Summary ranges are the mode that keeps a SWAT at the source.

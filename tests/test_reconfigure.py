@@ -83,24 +83,23 @@ class TestSettling:
         data = random_walk_stream(6 * 32, seed=22)
         tree.extend(data[: 2 * 32])
         assert tree.reconfigure(min_level=new_min_level)
-        assert not tree.memory_settled
+        assert tree.settling
         settled_at = None
         for i, value in enumerate(data[2 * 32 :]):
             tree.update(float(value))
             check_swat(tree)
-            if settled_at is None and tree.memory_settled:
+            if settled_at is None and not tree.settling:
                 settled_at = i
         assert settled_at is not None  # settling terminates
         assert tree.nbytes == config_nbytes(32, 2, new_min_level)
 
-    def test_settled_flag_reflects_reconfigure(self):
+    def test_nbytes_matches_config_around_k_change(self):
         tree = Swat(16, k=2)
         tree.extend(random_walk_stream(3 * 16, seed=23))
-        assert tree.memory_settled
+        assert tree.nbytes == config_nbytes(16, 2, 0)
         tree.reconfigure(k=1)
-        assert not tree.memory_settled  # k change: nodes shrink as they refresh
+        assert not tree.settling  # lowering k truncates in place
         tree.extend(random_walk_stream(3 * 16, seed=24))
-        assert tree.memory_settled
         assert tree.nbytes == config_nbytes(16, 1, 0)
 
 

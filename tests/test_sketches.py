@@ -1,13 +1,13 @@
 """Tests for repro.sketches: the related-work comparators of Section 1.1."""
 
-from collections import Counter, deque
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches import AmsSketch, EhSum, ExponentialHistogram, SurfingWavelets
+from repro.sketches import EhSum, ExponentialHistogram, SurfingWavelets
 
 
 class TestExponentialHistogramCount:
@@ -178,72 +178,3 @@ class TestSurfingWavelets:
         exact = q.evaluate(x[::-1])
         assert sw.answer(q) == pytest.approx(exact, rel=1e-9)
 
-
-class TestAmsSketch:
-    def _f2(self, items):
-        return sum(c * c for c in Counter(items).values())
-
-    def test_f2_estimate_accuracy(self):
-        rng = np.random.default_rng(7)
-        items = rng.integers(0, 100, 10_000).tolist()
-        sketch = AmsSketch(width=128, depth=5, seed=0)
-        sketch.extend(items)
-        true = self._f2(items)
-        assert abs(sketch.estimate_f2() - true) / true < 0.25
-
-    def test_single_heavy_item_exact(self):
-        sketch = AmsSketch(width=8, depth=3, seed=1)
-        for __ in range(50):
-            sketch.update(42)
-        # All counters are +/-50; squares are exactly 2500 = F2.
-        assert sketch.estimate_f2() == pytest.approx(2500.0)
-
-    def test_join_size_estimate(self):
-        rng = np.random.default_rng(8)
-        a_items = rng.integers(0, 40, 5000).tolist()
-        b_items = rng.integers(0, 40, 5000).tolist()
-        a = AmsSketch(width=256, depth=5, seed=2)
-        b = AmsSketch(width=256, depth=5, seed=2)
-        a.extend(a_items)
-        b.extend(b_items)
-        ca, cb = Counter(a_items), Counter(b_items)
-        true = sum(ca[k] * cb.get(k, 0) for k in ca)
-        assert abs(a.estimate_join(b) - true) / true < 0.3
-
-    def test_join_requires_shared_seed(self):
-        a = AmsSketch(width=8, depth=2, seed=1)
-        b = AmsSketch(width=8, depth=2, seed=2)
-        with pytest.raises(ValueError):
-            a.estimate_join(b)
-
-    def test_join_requires_same_shape(self):
-        a = AmsSketch(width=8, depth=2, seed=1)
-        b = AmsSketch(width=4, depth=2, seed=1)
-        with pytest.raises(ValueError):
-            a.estimate_join(b)
-
-    def test_weighted_updates(self):
-        a = AmsSketch(width=8, depth=3, seed=3)
-        b = AmsSketch(width=8, depth=3, seed=3)
-        for __ in range(10):
-            a.update(7)
-        b.update(7, count=10.0)
-        assert np.allclose(a._counters, b._counters)
-
-    def test_error_shrinks_with_width(self):
-        rng = np.random.default_rng(9)
-        items = rng.integers(0, 200, 20_000).tolist()
-        true = self._f2(items)
-        errs = []
-        for width in (4, 64):
-            trials = []
-            for seed in range(5):
-                s = AmsSketch(width=width, depth=5, seed=seed)
-                s.extend(items)
-                trials.append(abs(s.estimate_f2() - true) / true)
-            errs.append(np.mean(trials))
-        assert errs[1] < errs[0]
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            AmsSketch(width=0)

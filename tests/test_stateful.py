@@ -35,7 +35,7 @@ class SwatMachine(RuleBasedStateMachine):
     def point_query(self, index):
         if index >= self.tree.size:
             return
-        est = self.tree.point_estimate(index)
+        est = self.tree.estimates([index])[0]
         assert np.isfinite(est)
         if index < 2:  # raw leaves are exact
             assert est == self.truth[index]

@@ -76,13 +76,13 @@ class TestWarmup:
 
     def test_query_before_any_data_rejected(self):
         with pytest.raises(IndexError):
-            Swat(16).point_estimate(0)
+            Swat(16).estimates([0])
 
     def test_query_beyond_observed_rejected(self):
         tree = Swat(16)
         tree.extend([1.0] * 4)
         with pytest.raises(IndexError):
-            tree.point_estimate(5)
+            tree.estimates([5])
 
 
 class TestNodeInvariants:
@@ -130,8 +130,8 @@ class TestQueries:
         tree, stream = warm(32, k=64, seed=5)
         window = stream[-32:][::-1]
         # Index 0 and 1 are covered by R_0 which holds both values exactly.
-        assert tree.point_estimate(0) == pytest.approx(window[0])
-        assert tree.point_estimate(1) == pytest.approx(window[1])
+        assert tree.estimates([0])[0] == pytest.approx(window[0])
+        assert tree.estimates([1])[0] == pytest.approx(window[1])
 
     def test_answer_value_equals_weighted_estimates(self):
         tree, __ = warm(64, seed=2)
@@ -152,8 +152,8 @@ class TestQueries:
             if i < 1024 or i % 64 != 0:
                 continue
             window = stream[max(0, i - 255) : i + 1][::-1]
-            errs_recent.append(abs(tree.point_estimate(1) - window[1]))
-            errs_old.append(abs(tree.point_estimate(200) - window[200]))
+            errs_recent.append(abs(tree.estimates([1])[0] - window[1]))
+            errs_old.append(abs(tree.estimates([200])[0] - window[200]))
         assert np.mean(errs_recent) < np.mean(errs_old)
 
     def test_drift_stream_mean_error_structure(self):
@@ -208,8 +208,8 @@ class TestRawLeaves:
     def test_indices_0_and_1_exact_by_default(self):
         tree, stream = warm(32, seed=12)
         window = stream[-32:][::-1]
-        assert tree.point_estimate(0) == window[0]
-        assert tree.point_estimate(1) == window[1]
+        assert tree.estimates([0])[0] == window[0]
+        assert tree.estimates([1])[0] == window[1]
 
     def test_disabled_raw_leaves_use_node_average(self):
         tree = Swat(32, use_raw_leaves=False)
@@ -217,8 +217,8 @@ class TestRawLeaves:
         tree.extend(stream)
         window = stream[-32:][::-1]
         expected = (window[0] + window[1]) / 2.0  # R_0's k=1 average
-        assert tree.point_estimate(0) == pytest.approx(expected)
-        assert tree.point_estimate(1) == pytest.approx(expected)
+        assert tree.estimates([0])[0] == pytest.approx(expected)
+        assert tree.estimates([1])[0] == pytest.approx(expected)
 
     def test_raw_leaves_off_for_reduced_trees(self):
         assert not Swat(32, min_level=2).use_raw_leaves
@@ -346,7 +346,7 @@ class TestDeviationTracking:
         truth = q.evaluate(stream[::-1])
         assert abs(truth) == 10.0 and ans.value == 0.0
         assert ans.error_bound == 10.0
-        assert not tree.can_answer(q)
+        assert ans.error_bound > q.precision
 
     @settings(max_examples=60)
     @given(
@@ -368,19 +368,17 @@ class TestDeviationTracking:
             assert abs(ans.value - truth) <= ans.error_bound + 1e-9 * (1.0 + abs(truth))
         assert engine.hits == 1
 
-    def test_can_answer_respects_precision(self):
+    def test_error_bound_against_precision(self):
         tree, __ = self._tracked()
         q_loose = exponential_query(8, precision=1e6)
         q_tight = exponential_query(8, precision=1e-9)
-        assert tree.can_answer(q_loose)
-        assert not tree.can_answer(q_tight)
+        assert tree.answer(q_loose).error_bound <= q_loose.precision
+        assert tree.answer(q_tight).error_bound > q_tight.precision
 
     def test_untracked_tree_has_no_bound(self):
         tree = Swat(64)
         tree.extend(uniform_stream(200, seed=1))
         assert tree.answer(exponential_query(8)).error_bound is None
-        with pytest.raises(ValueError):
-            tree.can_answer(exponential_query(8))
 
     def test_requires_k1_haar(self):
         with pytest.raises(ValueError):
