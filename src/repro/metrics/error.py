@@ -12,9 +12,13 @@ summary so experiments can score approximate answers.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..core.queries import InnerProductQuery
 
 __all__ = [
     "relative_error",
@@ -119,11 +123,33 @@ class GroundTruthWindow:
         """The whole window as an array indexed by window index."""
         return np.asarray(self._buf, dtype=np.float64)[::-1].copy()
 
+    def inner_product(self, query: "InnerProductQuery") -> float:
+        """Exact ``sum(W[i] * window[I[i]])``, summed in the query's order.
+
+        Reads the deque directly: a query's indices are non-negative, so
+        ``-1 - i`` addresses window index ``i`` and one past the observed
+        values raises :exc:`IndexError`.
+        """
+        buf = self._buf
+        return sum(w * buf[-1 - i] for i, w in zip(query.indices, query.weights))
+
     def segment_range(self, newest_idx: int, oldest_idx: int) -> tuple:
-        """Exact ``(min, max)`` over window indices ``newest_idx..oldest_idx``."""
+        """Exact ``(min, max)`` over window indices ``newest_idx..oldest_idx``.
+
+        The part of the segment past the observed values is ignored; a
+        segment wholly past them raises :exc:`ValueError`, and a negative
+        ``newest_idx`` raises :exc:`IndexError`, as ``window[newest_idx]``
+        would.
+        """
         if newest_idx > oldest_idx:
             raise ValueError("need newest_idx <= oldest_idx")
-        vals = [self[i] for i in range(newest_idx, min(oldest_idx, len(self._buf) - 1) + 1)]
+        if newest_idx < 0:
+            raise IndexError(
+                f"window index {newest_idx} out of range [0, {len(self._buf) - 1}]"
+            )
+        # Newest first, the order window[i] reads them in, so min and max
+        # pick the same elements; islice reads the deque at C speed.
+        vals = list(islice(reversed(self._buf), newest_idx, oldest_idx + 1))
         if not vals:
             raise ValueError("segment lies entirely outside the observed window")
         return (min(vals), max(vals))

@@ -9,6 +9,7 @@ range approximation, and the subscription list of children holding a replica.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -31,10 +32,17 @@ class Segment:
 
     newest: int
     oldest: int
+    # Every directory row lookup hashes its segment key, so the hash,
+    # hash((newest, oldest)), is computed once at construction.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.newest <= self.oldest:
             raise ValueError(f"invalid segment ({self.newest}, {self.oldest})")
+        object.__setattr__(self, "_hash", hash((self.newest, self.oldest)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def length(self) -> int:
@@ -56,6 +64,19 @@ def window_segments(window_size: int) -> List[Segment]:
     ``(0,1), (2,3)`` then doubling dyadic blocks up to ``(N/2, N-1)`` —
     ``log2(N)`` segments total, matching Table 1.
     """
+    return list(_canonical_segments(window_size))
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_segments(window_size: int) -> Tuple[Segment, ...]:
+    """The partition as one shared tuple per window size.
+
+    Every :class:`Directory` of a size keys its rows by these very objects,
+    so a lookup with another directory's segment (the shared
+    :class:`SegmentPlanCache` groupings) matches by identity and never
+    calls ``Segment.__eq__``.  A rejected size raises and caches nothing,
+    so entries are the few power-of-two sizes a process actually uses.
+    """
     if not is_power_of_two(window_size) or window_size < 4:
         raise ValueError(f"window_size must be a power of two >= 4, got {window_size}")
     segments = [Segment(0, 1), Segment(2, 3)]
@@ -64,7 +85,7 @@ def window_segments(window_size: int) -> List[Segment]:
         segments.append(Segment(lo, 2 * lo - 1))
         lo *= 2
     assert len(segments) == int(math.log2(window_size))
-    return segments
+    return tuple(segments)
 
 
 @dataclass
@@ -176,13 +197,13 @@ class Directory:
 
     def __init__(self, window_size: int) -> None:
         self.window_size = window_size
-        self.rows: Dict[Segment, DirectoryRow] = {
-            seg: DirectoryRow(seg) for seg in window_segments(window_size)
-        }
         # Row order mirrors the dyadic partition: row i covers
         # [2^i, 2^{i+1}-1] for i >= 1 and rows 0/1 split [0, 3] — so the row
         # holding index j is just bit_length(j) - 1 (clamped at 0).
-        self._segment_list: List[Segment] = list(self.rows)
+        self._segment_list: Tuple[Segment, ...] = _canonical_segments(window_size)
+        self.rows: Dict[Segment, DirectoryRow] = {
+            seg: DirectoryRow(seg) for seg in self._segment_list
+        }
 
     @property
     def segments(self) -> List[Segment]:

@@ -1,12 +1,19 @@
 """Message-passing transport over a tree topology, on the event simulator.
 
-The synchronous protocol implementations in :mod:`repro.replication` model a
-message as an instantaneous function call plus a counter increment.  This
-module provides the real thing: envelopes travel one tree edge at a time,
-arrive after a configurable per-hop latency, and are handed to the receiving
-site's handler — which lets the replication protocols run as communicating
-actors (:mod:`repro.replication.async_asr`) and lets experiments measure
-response latency directly instead of deriving it from hop counts.
+The DC and APS baselines in :mod:`repro.replication` model a message as an
+instantaneous function call plus a counter increment.  This module provides
+the real thing: envelopes travel one tree edge at a time, arrive after a
+configurable per-hop latency, and are handed to the receiving site's
+handler — which lets SWAT-ASR run as communicating actors
+(:mod:`repro.replication.async_asr`) and lets experiments measure response
+latency directly instead of deriving it from hop counts.
+
+Every message takes one path: :meth:`Transport.send` validates it, copies
+its payload once into a read-only :class:`Envelope`, and schedules the
+delivery with :meth:`Simulator.schedule_after`; :meth:`Simulator.step` later
+runs the delivery, which hands the envelope to the handler registered for
+the destination at that moment.  On a perfect network (no fault plan) that
+is all a send costs: an edge-set lookup, one payload copy, one heap push.
 
 Fault tolerance
 ---------------
@@ -49,9 +56,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Set, Tuple
 
 from ..obs import metrics as obs
 from ..obs.causal import CausalTracer, Span, TraceContext, current_causal
@@ -72,6 +79,11 @@ _ROLL_JITTER = 2
 _ROLL_ACK_DROP = 3
 _ROLL_ACK_JITTER = 4
 
+#: Probe label of each protocol kind's delivery event, built once.
+_DELIVER_LABELS: Dict[str, str] = {
+    kind: f"transport.deliver:{kind}" for kind in MessageKind.ALL
+}
+
 
 def _edge_hash(src: str, dst: str, kind: str) -> int:
     """Stable 64-bit identity of a directed edge + message kind (process- and
@@ -91,37 +103,56 @@ class TransportDrainError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """One logical message on one tree edge.
+class _EnvelopeFields(NamedTuple):
+    src: str
+    dst: str
+    kind: str
+    payload: Mapping[str, Any]
+    msg_id: Optional[int]
+    trace: Optional[TraceContext]
+    #: Intrinsic fault-roll identity ``(edge hash, per-edge sequence)``; set
+    #: in reliable mode and shared by every physical copy and ack of the
+    #: logical message, so fault decisions key off *what* the message is,
+    #: not *when* the scheduler happened to process it.
+    fault_key: Optional[Tuple[int, int]]
 
-    ``payload`` is snapshotted at construction and exposed read-only
+
+class Envelope(_EnvelopeFields):
+    """One logical message on one tree edge (immutable).
+
+    ``payload`` is copied once, here, and exposed read-only
     (``MappingProxyType``): duplicated or retried deliveries of the same
     envelope must never observe each other's mutations, and the sender
-    cannot alter what a handler sees.  ``msg_id`` is set in
-    reliable mode only and keys ack/retry/dedup bookkeeping.
+    cannot alter what a handler sees.  Direct construction freezes the
+    payload too; :meth:`Transport.send` passes the caller's mapping straight
+    through, so each logical send copies its payload exactly once.
+    ``msg_id`` is set in reliable mode only and keys ack/retry/dedup
+    bookkeeping.
 
     ``trace`` is the causal trace context this envelope travels under (the
     hop span opened by :meth:`Transport.send` when causal tracing is on);
     handler-side work that sends further messages chains under it, and
     retransmitted or duplicated physical copies of one logical message all
     share it — that is what makes a trace *causal* rather than a flat log.
+
+    A named tuple rather than a frozen dataclass: one is built per message,
+    and tuple construction costs well under half as much.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-    msg_id: Optional[int] = None
-    trace: Optional[TraceContext] = None
-    #: Intrinsic fault-roll identity ``(edge hash, per-edge sequence)``; set
-    #: in reliable mode and shared by every physical copy and ack of the
-    #: logical message, so fault decisions key off *what* the message is,
-    #: not *when* the scheduler happened to process it.
-    fault_key: Optional[Tuple[int, int]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payload", MappingProxyType(dict(self.payload)))
+    def __new__(
+        cls,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Optional[Mapping[str, Any]] = None,
+        msg_id: Optional[int] = None,
+        trace: Optional[TraceContext] = None,
+        fault_key: Optional[Tuple[int, int]] = None,
+    ) -> "Envelope":
+        frozen = MappingProxyType({} if payload is None else dict(payload))
+        return tuple.__new__(cls, (src, dst, kind, frozen, msg_id, trace, fault_key))
 
 
 class _PendingSend:
@@ -217,6 +248,14 @@ class Transport:
             else max(4.0 * (latency + jitter), 0.05)
         )
         self.drain_max_steps = drain_max_steps
+        # Both directions of every tree edge; a Topology is never mutated,
+        # so one set built here answers every send's adjacency check.
+        edges: Set[Tuple[str, str]] = set()
+        for node in topology.nodes:
+            parent = topology.parent(node)
+            if parent is not None:
+                edges.update(((node, parent), (parent, node)))
+        self._edges: FrozenSet[Tuple[str, str]] = frozenset(edges)
         self._handlers: Dict[str, Callable[[Envelope], None]] = {}
         self._ids = itertools.count(1)
         self._in_flight = 0
@@ -254,9 +293,6 @@ class Transport:
         """False while ``site`` sits inside a fault-plan crash window."""
         return self.faults is None or not self.faults.is_crashed(site, self.sim.now)
 
-    def _adjacent(self, a: str, b: str) -> bool:
-        return self.topology.parent(a) == b or self.topology.parent(b) == a
-
     # ----------------------------------------------------------------- send
 
     def send(
@@ -284,9 +320,12 @@ class Transport:
         """
         if dst not in self._handlers:
             raise KeyError(f"no handler registered at {dst!r}")
-        if not self._adjacent(src, dst):
+        if (src, dst) not in self._edges:
+            if src not in self.topology:
+                raise KeyError(f"unknown site {src!r}")
             raise ValueError(f"{src!r} and {dst!r} are not adjacent in the tree")
-        if kind not in MessageKind.ALL:
+        label = _DELIVER_LABELS.get(kind)
+        if label is None:
             raise ValueError(f"unknown message kind {kind!r}")
         self.stats.record(kind)
         ctx = trace if trace is not None else self.sim.current_context
@@ -302,13 +341,10 @@ class Transport:
             )
             ctx = span.context
         if self.faults is None:
-            env = Envelope(src, dst, kind, dict(payload or {}), trace=ctx)
+            env = Envelope(src, dst, kind, payload, None, ctx)
             self._track(env)
             self.sim.schedule_after(
-                self.latency,
-                lambda: self._deliver(env, span),
-                label=f"transport.deliver:{kind}",
-                ctx=ctx,
+                self.latency, partial(self._deliver, env, span), label, ctx
             )
             return
         msg_id = self.fresh_id()
@@ -319,7 +355,7 @@ class Transport:
             src,
             dst,
             kind,
-            dict(payload or {}),
+            payload,
             msg_id=msg_id,
             trace=ctx,
             fault_key=(_edge_hash(src, dst, kind), seq),
@@ -385,7 +421,7 @@ class Transport:
             self.sim.schedule_after(
                 self.latency + extra,
                 lambda: self._deliver_reliable(env),
-                label=f"transport.deliver:{env.kind}",
+                label=_DELIVER_LABELS[env.kind],
                 ctx=env.trace,
             )
         timeout = self.retry_timeout * (2 ** (pending.attempts - 1))

@@ -56,6 +56,7 @@ about the degraded state: unsynced pairs and crashed sites are excused
 from __future__ import annotations
 
 import logging
+import math
 import zlib
 from dataclasses import dataclass
 from typing import (
@@ -106,7 +107,9 @@ SITE_CHECKPOINT_KIND = "asr-site"
 #: interval hedges beyond the stored precision.
 DEGRADED_WIDEN_FACTOR = 2.0
 
-#: Internal answer payload: estimates + halfwidths + provenance metadata.
+#: Internal answer payload: the serving site's ``value`` (sum of weight x
+#: estimate) and ``slack`` (sum of |weight| x halfwidth), both summed in the
+#: query's index order, plus provenance metadata.
 _AnswerPayload = Mapping[str, Any]
 _AnswerCallback = Callable[[_AnswerPayload], None]
 
@@ -145,12 +148,33 @@ class QueryOutcome:
         return self.interval[0] - tolerance <= truth <= self.interval[1] + tolerance
 
 
+def _answer(
+    query: InnerProductQuery,
+    estimates: Mapping[int, float],
+    halfwidths: Mapping[int, float],
+    served_by: str,
+) -> Dict[str, Any]:
+    """The answer payload for per-index estimates and halfwidths.
+
+    Both sums run in the query's index order, so the served value and
+    interval do not depend on how the indices were grouped by segment.
+    """
+    pairs = tuple(zip(query.indices, query.weights))
+    return {
+        "value": sum(w * estimates[i] for i, w in pairs),
+        "slack": sum(abs(w) * halfwidths[i] for i, w in pairs),
+        "served_by": served_by,
+    }
+
+
 class _Site:
     """One site actor: a directory plus pending-query bookkeeping."""
 
     def __init__(self, node_id: str, system: "AsyncSwatAsr") -> None:
         self.id = node_id
         self.system = system
+        #: The source serves every query it sees from the exact window.
+        self.is_root = node_id == system.topology.root
         self.directory = Directory(system.window_size)
         # qid -> ("child", child_id, ctx) | ("local", callback, ctx); ctx is
         # the causal trace context the answer should continue under.
@@ -220,42 +244,43 @@ class _Site:
         if shake_mod.DETECTOR is not None:
             for seg in by_segment:
                 shake_mod.note_read(f"site:{self.id}", "directory", seg)
-        weights = dict(zip(query.indices, query.weights))
-        if self.id == self.system.topology.root:
+        rows = self.directory.rows
+        if self.is_root:
             for seg in by_segment:
-                self._count_read(self.directory.row(seg), from_child)
-            estimates = {i: self.system.window[i] for i in query.indices}
+                self._count_read(rows[seg], from_child)
             return {
-                "estimates": estimates,
-                "halfwidths": {i: 0.0 for i in query.indices},
+                "value": self.system.window.inner_product(query),
+                "slack": 0.0,
                 "served_by": self.id,
             }
+        weights = dict(zip(query.indices, query.weights))
+        # Without a fault plan no row is suspect (_suspect returns False).
+        check_suspect = self.system.transport.faults is not None
         offered = 0.0
         for seg, indices in by_segment.items():
-            offered += sum(weights[i] for i in indices) * self._trusted_width(seg)
+            # The row's trusted width: its cached range width, or infinity
+            # for rows this site must not trust — uncached rows and rows last
+            # synced before the site's own most recent crash recovery (a
+            # restarted process knows it restarted; anything older than the
+            # restart may have missed updates, so the query forwards
+            # root-ward for a fresh answer instead).
+            approx = rows[seg].approx
+            if approx is None or (check_suspect and self._suspect(seg)):
+                width = math.inf
+            else:
+                width = approx[1] - approx[0]
+            offered += sum(map(weights.__getitem__, indices)) * width
         if offered > query.precision:
             return None
-        estimates = {}
+        estimates: Dict[int, float] = {}
         halfwidths: Dict[int, float] = {}
         for seg, indices in by_segment.items():
-            row = self.directory.row(seg)
+            row = rows[seg]
             self._count_read(row, from_child)
             for idx in indices:
                 estimates[idx] = row.midpoint
                 halfwidths[idx] = row.width / 2.0
-        return {"estimates": estimates, "halfwidths": halfwidths, "served_by": self.id}
-
-    def _trusted_width(self, seg: Segment) -> float:
-        """The precision this site can honestly offer for ``seg``: the cached
-        range width, or infinity for rows it must not trust — uncached rows
-        and rows last synced before the site's own most recent crash recovery
-        (a restarted process knows it restarted; anything older than the
-        restart may have missed updates, so the query forwards root-ward for
-        a fresh answer instead)."""
-        row = self.directory.row(seg)
-        if not row.is_cached or self._suspect(seg):
-            return float("inf")
-        return row.width
+        return _answer(query, estimates, halfwidths, self.id)
 
     def _suspect(self, seg: Segment) -> bool:
         """True when the row was last synced before this site's most recent
@@ -306,9 +331,7 @@ class _Site:
             elif stale_since is None or seen_at < stale_since:
                 stale_since = seen_at
         return {
-            "estimates": estimates,
-            "halfwidths": halfwidths,
-            "served_by": self.id,
+            **_answer(query, estimates, halfwidths, self.id),
             "degraded": True,
             "stale_since": None if never_synced else stale_since,
         }
@@ -792,6 +815,7 @@ class AsyncSwatAsr:
         self.query_latencies: List[float] = []
         self.query_outcomes: List[QueryOutcome] = []
         self.last_query_hops = 0
+        self._depth: Dict[str, int] = {node: topology.depth(node) for node in topology.nodes}
         self._check = contracts.resolve_check_flag(check_invariants)
         self.use_summary_ranges = bool(use_summary_ranges)
         self._summary: Optional[Swat] = (
@@ -1110,25 +1134,21 @@ class AsyncSwatAsr:
                     )
                 deliver(site.degraded_payload(query))
 
-        payload = cast(_AnswerPayload, box["payload"])
-        weights = dict(zip(query.indices, query.weights))
-        estimates = cast(Dict[int, float], payload["estimates"])
-        halfwidths = cast(Dict[int, float], payload.get("halfwidths", {}))
-        value = sum(weights[i] * estimates[i] for i in query.indices)
-        slack = sum(abs(weights[i]) * halfwidths.get(i, 0.0) for i in query.indices)
-        served_by = cast(str, payload.get("served_by", client))
+        payload = box["payload"]
+        value: float = payload["value"]
+        slack: float = payload["slack"]
+        served_by: str = payload["served_by"]
+        answered_at: float = box["at"]
         degraded = bool(payload.get("degraded", False))
         if degraded and obs.ENABLED:
             obs.counter("asr.degraded_answers").inc()
-        self.last_query_hops = 2 * (
-            self.topology.depth(client) - self.topology.depth(served_by)
-        )
+        self.last_query_hops = 2 * (self._depth[client] - self._depth[served_by])
         if root_span is not None and self.causal is not None:
             # The span ends when the *answer* landed, not when the drain
             # returned: late retransmissions after a degraded answer stay in
             # the tree but out of this query's wall-clock.
             root_span.finish(
-                cast(float, box["at"]),
+                answered_at,
                 degraded=degraded,
                 served_by=served_by,
                 hops=self.last_query_hops,
@@ -1139,10 +1159,10 @@ class AsyncSwatAsr:
             value=value,
             interval=(value - slack, value + slack),
             degraded=degraded,
-            stale_since=cast(Optional[float], payload.get("stale_since")),
+            stale_since=payload.get("stale_since"),
             served_by=served_by,
             issued_at=issued_at,
-            answered_at=cast(float, box["at"]),
+            answered_at=answered_at,
             trace_id=None if root_span is None else root_span.trace_id,
         )
         self.query_outcomes.append(outcome)

@@ -153,7 +153,15 @@ class Simulator:
         """Schedule ``action`` after ``delay`` units of virtual time."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        self.schedule_at(self._now + delay, action, label, ctx)
+        # The entry schedule_at would push; a non-negative delay can never
+        # land in the past, so its check is already satisfied.  Every
+        # transport delivery comes through here.
+        tb = 0.0 if self._tiebreak is None else self._tiebreak()
+        heapq.heappush(
+            self._queue,
+            (self._now + delay, tb, next(self._counter), action, label, ctx,
+             self._current_event),
+        )
 
     def step(self) -> bool:
         """Execute the next event; return False if the queue is empty."""
@@ -165,15 +173,20 @@ class Simulator:
         self._current_ctx = ctx
         self._current_event = seq
         probe = self.probe
-        if probe is not None:
-            probe.begin_event(seq, parent, when, label or _label_of(action))
+        if probe is None:
+            try:
+                action()
+            finally:
+                self._current_ctx = None
+                self._current_event = None
+            return True
+        probe.begin_event(seq, parent, when, label or _label_of(action))
         try:
             action()
         finally:
             self._current_ctx = None
             self._current_event = None
-            if probe is not None:
-                probe.end_event()
+            probe.end_event()
         return True
 
     def run_until(self, deadline: float) -> None:

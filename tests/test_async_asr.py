@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.queries import linear_query, point_query
+from repro.data.weather import santa_barbara_temps
+from repro.data.workload import RandomWorkload
 from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
 from repro.network.transport import Transport
@@ -181,3 +183,59 @@ class TestLatencyMeasurement:
         async_ = AsyncSwatAsr(Topology.single_client(), N)
         with pytest.raises(RuntimeError):
             async_.on_query("C1", point_query(0))
+
+
+class TestReplicationWorkloadPins:
+    """perfbench's replication workload (seed 1), shortened to 100 rounds.
+
+    14 clients on a complete binary tree, N = 64, zero latency, no faults:
+    data every 2 virtual seconds, every client queries each second, and a
+    phase ends every 10.  The hot message path must not move one message,
+    simulator event, segment grouping or answer.
+    """
+
+    CLIENTS = 14
+    WINDOW = 64
+    DATA_PERIOD = 2
+    PHASE_PERIOD = 10
+    ROUNDS = 100
+
+    def test_counts_and_answers_are_pinned(self):
+        series = santa_barbara_temps().tolist()
+        topo = Topology.complete_binary_tree(self.CLIENTS)
+        asr = AsyncSwatAsr(topo, self.WINDOW)
+        pools = {
+            client: RandomWorkload(
+                self.WINDOW,
+                kind="linear",
+                max_length=8,
+                precision_low=2.0,
+                precision_high=10.0,
+                seed=1 + 7919 * (i + 1),
+            )
+            for i, client in enumerate(topo.clients)
+        }
+        fill = self.WINDOW * self.DATA_PERIOD
+        answers, local = [], 0
+        for t in range(fill + self.ROUNDS):
+            now = float(t)
+            if t % self.DATA_PERIOD == 0:
+                asr.on_data(series[t // self.DATA_PERIOD], now=now)
+            if t < fill:
+                continue
+            for client in topo.clients:
+                answers.append(asr.on_query(client, pools[client].next(), now=now))
+                local += asr.query_outcomes[-1].served_by == client
+            if (t - fill) % self.PHASE_PERIOD == 0:
+                asr.on_phase_end(now=now)
+        assert asr.stats.snapshot() == {
+            "query": 3393,
+            "response": 3393,
+            "update": 147,
+            "insert": 58,
+            "unsubscribe": 50,
+        }
+        assert asr.sim.events_run == 7041
+        assert (asr._segment_plans.hits, asr._segment_plans.misses) == (3395, 1398)
+        assert (len(answers), local) == (1400, 1)
+        assert sum(answers) == pytest.approx(58554.892472908, rel=1e-9)

@@ -17,6 +17,8 @@ Three layers of guarantees are pinned here:
   covering the truth at serve time or is stamped degraded/stale.
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import contracts
 from repro.core.queries import linear_query
+from repro.network import transport as transport_mod
 from repro.network.faults import CrashWindow, FaultPlan
 from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
@@ -207,6 +210,51 @@ class TestEnvelopePayloadFrozen:
         env = Envelope("a", "b", MessageKind.QUERY, {"k": 1})
         with pytest.raises(TypeError):
             env.payload["k"] = 2
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()], ids=["perfect", "reliable"])
+    def test_one_payload_copy_per_send(self, plan, monkeypatch):
+        """A logical send copies its payload once, into the envelope.
+
+        The caller's mapping is read once either way; a second copy, of the
+        transport's own copy, shows only as a second ``dict(...)`` call made
+        by the transport module, so those calls are counted too.
+        """
+
+        class CountingMapping(Mapping):
+            def __init__(self, data):
+                self.data = data
+                self.keys_calls = 0
+
+            def keys(self):
+                self.keys_calls += 1
+                return self.data.keys()
+
+            def __getitem__(self, key):
+                return self.data[key]
+
+            def __iter__(self):
+                return iter(self.data)
+
+            def __len__(self):
+                return len(self.data)
+
+        copies = []
+
+        def counting_dict(*args, **kwargs):
+            copies.append(args)
+            return dict(*args, **kwargs)
+
+        monkeypatch.setattr(transport_mod, "dict", counting_dict, raising=False)
+        topo = Topology.single_client()
+        tr = Transport(Simulator(), topo, faults=plan)
+        delivered = []
+        tr.register("C1", delivered.append)
+        payload = CountingMapping({"x": 1, "y": 2})
+        tr.send(SOURCE, "C1", MessageKind.UPDATE, payload)
+        tr.drain()
+        assert [dict(env.payload) for env in delivered] == [{"x": 1, "y": 2}]
+        assert payload.keys_calls == 1
+        assert len(copies) == 1
 
 
 class TestDrainBudget:

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.queries import InnerProductQuery
 from repro.metrics import (
     ErrorSeries,
     GroundTruthWindow,
@@ -83,6 +84,40 @@ class TestGroundTruthWindow:
         w.update(1.0)
         with pytest.raises(ValueError):
             w.segment_range(3, 1)
+
+    @pytest.mark.parametrize("filled", [16, 40, 9, 1])
+    def test_segment_range_matches_brute_force(self, filled):
+        """Every (newest, oldest) pair of full and partly filled windows."""
+        size = 16
+        w = GroundTruthWindow(size)
+        # Small integers, so minima and maxima are often tied.
+        w.extend(np.random.default_rng(filled).integers(-3, 4, filled).astype(float))
+        values = w.values_newest_first()
+        for newest in range(size):
+            for oldest in range(size):
+                part = values[newest : oldest + 1]
+                if newest > oldest or part.size == 0:
+                    with pytest.raises(ValueError):
+                        w.segment_range(newest, oldest)
+                else:
+                    assert w.segment_range(newest, oldest) == (part.min(), part.max())
+
+    def test_segment_range_negative_index_raises_index_error(self):
+        w = GroundTruthWindow(8)
+        w.extend([1.0, 2.0, 3.0])
+        for newest, oldest in ((-1, 2), (-1, -1), (-5, 9)):
+            with pytest.raises(IndexError):
+                w.segment_range(newest, oldest)
+
+    def test_inner_product_matches_indexing(self):
+        w = GroundTruthWindow(8)
+        w.extend([5.0, 1.0, 9.0, 4.0, 2.5])
+        q = InnerProductQuery((3, 0, 4), (0.5, 2.0, -1.0))
+        assert w.inner_product(q) == sum(
+            weight * w[i] for i, weight in zip(q.indices, q.weights)
+        )
+        with pytest.raises(IndexError):
+            w.inner_product(InnerProductQuery((5,), (1.0,)))
 
     def test_bad_window_size(self):
         with pytest.raises(ValueError):
