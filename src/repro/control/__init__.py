@@ -1,38 +1,30 @@
-"""Adaptive resource control: budgets, live reconfiguration, load shedding.
+"""Resource control: byte budgets and ingest backpressure.
 
-The whole point of SWAT is a *tunable* space/accuracy trade-off — ``k``
-coefficients per node and reduced-level trees (Section 2.5) with closed-form
-error bounds (Section 2.6).  This subsystem makes the trade-off a live,
-budgeted control loop over a :class:`~repro.core.multi.StreamEnsemble`:
+SWAT's space/accuracy trade-off is ``k`` coefficients per node and
+reduced-level trees (Section 2.5), with closed-form error bounds (Section
+2.6).  The paper picks both knobs once per experiment; this subsystem does
+the same for a :class:`~repro.core.multi.StreamEnsemble` under a global
+byte budget:
 
 * :mod:`repro.control.accounting` — exact byte accounting
   (:class:`MemoryLedger`, :func:`config_nbytes`) with no per-arrival tree
   walks;
-* :mod:`repro.control.governor` — :class:`ResourceGovernor`
-  redistributes a global memory budget across streams at phase boundaries
-  by resizing ``k``/``min_level`` (with hysteresis), plus
-  :class:`ReplicaGovernor` for cache-row budgets on replicated sites and
-  the Section 2.6 error-bound oracle :func:`query_error_bound`;
+* :mod:`repro.control.governor` — :class:`ResourceGovernor`, a budget plan
+  computed once when it attaches, plus :class:`ReplicaGovernor` for
+  cache-row budgets on replicated sites;
 * :mod:`repro.control.shedding` — ingest backpressure
-  (:class:`ArrivalQueue`) and query admission control
-  (:class:`QueryAdmission`, :exc:`AdmissionError`,
-  :func:`degraded_answer`).
+  (:class:`ArrivalQueue`).
 
-Everything here is deterministic and acts only at phase boundaries, so the
-shake sanitizer and the bit-identity guarantees of the batched paths are
-preserved; a disabled governor is property-tested to be a behavioral no-op.
-See ``docs/capacity.md``.
+:func:`query_error_bound`, the Section 2.6 oracle, lives in
+:mod:`repro.core.errors` and is re-exported here.  Everything is
+deterministic, and ``ResourceGovernor(None)`` is property-tested to be
+bit-identical to no governor.  See ``docs/capacity.md``.
 """
 
+from ..core.errors import query_error_bound
 from .accounting import MemoryLedger, config_nbytes
-from .governor import (
-    ReplicaGovernor,
-    ResourceGovernor,
-    load_governor,
-    query_error_bound,
-    save_governor,
-)
-from .shedding import AdmissionError, ArrivalQueue, QueryAdmission, degraded_answer
+from .governor import ReplicaGovernor, ResourceGovernor
+from .shedding import ArrivalQueue
 
 __all__ = [
     "MemoryLedger",
@@ -40,10 +32,5 @@ __all__ = [
     "ResourceGovernor",
     "ReplicaGovernor",
     "query_error_bound",
-    "save_governor",
-    "load_governor",
     "ArrivalQueue",
-    "QueryAdmission",
-    "AdmissionError",
-    "degraded_answer",
 ]

@@ -1,414 +1,92 @@
-"""Adaptive resource governor: budgeted, hysteretic, phase-aligned.
+"""Resource governor: one byte-budget plan, computed when it attaches.
 
-:class:`ResourceGovernor` closes the loop the paper leaves open: Section 2.5
-describes the ``k``/``min_level`` space knobs and Section 2.6 the error they
-cost, but nothing *chooses* them.  The governor redistributes a global byte
-budget across a :class:`~repro.core.multi.StreamEnsemble`:
+Section 2.5 gives SWAT two space knobs, ``k`` coefficients per node and the
+coarsest maintained level ``min_level``; Section 2.6 gives the error each
+one costs.  The paper picks both once per experiment and never retunes them
+while a stream runs.  :class:`ResourceGovernor` does the same for a
+:class:`~repro.core.multi.StreamEnsemble` under a global byte budget: when
+it attaches, :meth:`ResourceGovernor.plan` shrinks the streams until the sum
+of their configured ceilings (:func:`~repro.control.accounting.config_nbytes`)
+fits the budget.  A live tree never exceeds its ceiling, so from then on the
+ledger stays within the budget at every arrival, with nothing left to
+revisit.
 
-* **Hard budget.**  It degrades streams (halving ``k`` first, then raising
-  ``min_level``) until the sum of configured steady-state ceilings
-  (:func:`~repro.control.accounting.config_nbytes`) fits the budget.  A live
-  tree never exceeds its ceiling, so the ledger total provably never exceeds
-  the budget after the first governor step — at *every* arrival, not just at
-  checkpoints.
-* **Hysteresis.**  It upgrades (lowering ``min_level`` first, then doubling
-  ``k``) at most one stream per phase, only when the ceilings leave
-  ``headroom`` under the budget *after* the upgrade, and only past a
-  per-stream cooldown — so a budget sitting near the working set cannot make
-  the governor thrash.
-* **Error-driven.**  Upgrade priority is the observed per-stream query error
-  (the ``ensemble.stream.query_error`` histogram in the obs registry, fed by
-  whoever serves queries), falling back to the §2.6 structural proxy (the
-  coarsest tree first).  With ``error_target`` set, a stream is upgraded
-  only while its observed error exceeds the target.
-
-All decisions happen at phase boundaries only and are pure functions of
-(ensemble state, registry state, phase index), so determinism — and the
-shake sanitizer — are preserved.  ``enabled=False`` makes the governor a
-pure observer: property tests pin that a disabled-governor run is
-bit-identical to no governor at all.
-
-:func:`query_error_bound` is the Section 2.6 oracle used by the Hypothesis
-tests and the ``repro govern`` frontier: a certified bound on a query's
-error computed from the true history, sound under any sequence of live
-reconfigurations.
-
-:class:`ReplicaGovernor` applies the same budget idea to the replication
-layer: a cap on cached directory rows per client site, enforced by evicting
-the least-read unpinned rows at phase end through the existing
-unsubscribe machinery.
+:class:`ReplicaGovernor` applies a budget to the replication layer: a cap on
+cached directory rows per client site, enforced by evicting the least-read
+unpinned rows at phase end through the existing unsubscribe machinery.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..core.queries import InnerProductQuery
-from ..core.swat import Swat
-from ..obs import metrics as obs
-from ..persist import load_checkpoint, write_checkpoint
 from .accounting import config_nbytes
 
 if TYPE_CHECKING:  # avoid a runtime cycle: multi imports repro.control
     from ..core.multi import StreamEnsemble
 
-__all__ = [
-    "ResourceGovernor",
-    "ReplicaGovernor",
-    "query_error_bound",
-    "save_governor",
-    "load_governor",
-]
+__all__ = ["ResourceGovernor", "ReplicaGovernor"]
 
-#: Obs-registry histogram the governor reads for per-stream observed error.
-ERROR_METRIC = "ensemble.stream.query_error"
-
-
-# --------------------------------------------------------------- §2.6 oracle
-
-
-def query_error_bound(
-    tree: Swat,
-    history_newest_first: Sequence[float],
-    query: InnerProductQuery,
-) -> float:
-    """Certified §2.6 bound on ``|true - tree.answer(query)|``.
-
-    ``history_newest_first[i]`` must be the true stream value at window
-    index ``i`` (index 0 = newest), covering at least every segment of every
-    node the query's cover touches — ``2N`` values always suffice, because a
-    node's segment can drift at most one full window into the past.
-
-    Soundness rests on the reconstruction invariant that holds under any
-    sequence of live :meth:`~repro.core.swat.Swat.reconfigure` calls: a
-    node's reconstructed values are always averages of true dyadic
-    sub-blocks of its own segment (first-``k`` prefixes are exact, and
-    combines of ragged-``k`` children zero-pad, which preserves the
-    property).  Hence every per-index estimate lies within
-    ``[min, max]`` of the node's true segment, and so does the true value —
-    except for extrapolated indices, whose true value is adjoined to the
-    range.  Raw-leaf indices are exact.  Returns ``inf`` when the provided
-    history is too short to certify a bound.
-    """
-    hist = np.asarray(history_newest_first, dtype=np.float64).reshape(-1)
-    indices = list(query.indices)
-    if not indices:
-        return 0.0
-    weights = np.asarray(query.weights, dtype=np.float64).reshape(-1)
-    abs_w = {i: abs(float(w)) for i, w in zip(indices, weights)}
-    n_raw = tree.raw_leaf_count()
-    remaining = [i for i in indices if i >= n_raw]
-    if not remaining:
-        return 0.0  # served exactly from the raw leaves d_0/d_1
-    cover = tree.cover(remaining)
-    extrapolated = set(cover.extrapolated)
-    now = tree.time
-    bound = 0.0
-    for node, assigned in cover.assignments.items():
-        lo = now - node.end_time
-        hi = lo + node.segment_length - 1
-        if hi >= hist.size:
-            return float("inf")
-        seg = hist[lo : hi + 1]
-        smin = float(seg.min())
-        smax = float(seg.max())
-        for i in assigned:
-            if i in extrapolated:
-                if i >= hist.size:
-                    return float("inf")
-                v = float(hist[i])
-                bound += abs_w[i] * (max(smax, v) - min(smin, v))
-            else:
-                bound += abs_w[i] * (smax - smin)
-    return bound
-
-
-# ------------------------------------------------------------------ governor
+Shape = Tuple[int, int]
 
 
 class ResourceGovernor:
-    """Redistributes a global memory budget across an ensemble's streams.
+    """Fits an ensemble's streams under a global byte budget, once.
 
-    Parameters
-    ----------
-    budget_bytes:
-        Global budget on the sum of per-stream configured byte ceilings
-        (``None`` = monitor only, never reconfigure).
-    enabled:
-        ``False`` makes :meth:`on_phase` a pure observer (ledger refresh and
-        gauges only) — property-tested to be bit-identical to having no
-        governor at all.
-    error_target:
-        When set, streams are upgraded only while their observed mean query
-        error (from the obs registry) exceeds this target.
-    k_range:
-        Inclusive ``(floor, ceiling)`` for per-stream ``k``.
-    min_level_range:
-        Inclusive ``(floor, ceiling)`` for per-stream ``min_level``;
-        defaults to the full ``[0, log2(N) - 1]`` range of the ensemble.
-    cooldown_phases:
-        Minimum phases between an upgrade of a stream and its previous
-        reconfiguration (degrades ignore the cooldown: the budget is hard).
-    headroom:
-        Hysteresis margin: upgrades happen only while the post-upgrade
-        ceiling total stays at or under ``budget * (1 - headroom)``.
+    ``budget_bytes`` bounds the sum of the streams' configured ceilings;
+    ``None`` plans no change.  Each tree's shape at attach time is its
+    ceiling, and ``k = 1`` is the floor.
+    :meth:`~repro.core.multi.StreamEnsemble.attach_governor` applies the
+    plan.
     """
 
-    def __init__(
-        self,
-        budget_bytes: Optional[int] = None,
-        *,
-        enabled: bool = True,
-        error_target: Optional[float] = None,
-        k_range: Tuple[int, int] = (1, 64),
-        min_level_range: Optional[Tuple[int, int]] = None,
-        cooldown_phases: int = 1,
-        headroom: float = 0.1,
-    ) -> None:
+    def __init__(self, budget_bytes: Optional[int] = None) -> None:
         if budget_bytes is not None and budget_bytes < 1:
             raise ValueError("budget_bytes must be >= 1 (or None)")
-        if not 1 <= k_range[0] <= k_range[1]:
-            raise ValueError(f"invalid k_range {k_range}")
-        if cooldown_phases < 0:
-            raise ValueError("cooldown_phases must be >= 0")
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError("headroom must be in [0, 1)")
         self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
-        self.enabled = bool(enabled)
-        self.error_target = None if error_target is None else float(error_target)
-        self.k_range = (int(k_range[0]), int(k_range[1]))
-        self.min_level_range = (
-            None
-            if min_level_range is None
-            else (int(min_level_range[0]), int(min_level_range[1]))
-        )
-        self.cooldown_phases = int(cooldown_phases)
-        self.headroom = float(headroom)
-        self.phase_count = 0
-        self.reconfig_count = 0
-        self._last_change: Dict[str, int] = {}
-        self._ensemble: Optional["StreamEnsemble"] = None
-        # Stream configurations captured by from_state, applied at bind time.
-        self._restored_streams: Optional[Dict[str, Dict[str, int]]] = None
 
-    # -------------------------------------------------------------- binding
+    def plan(self, ensemble: "StreamEnsemble") -> Dict[str, Shape]:
+        """The ``(k, min_level)`` of every stream whose shape must change.
 
-    def bind(self, ensemble: "StreamEnsemble") -> None:
-        """Attach to an ensemble (called by ``attach_governor``).
-
-        A governor restored by :func:`load_governor` re-applies its recorded
-        per-stream configurations to the ensemble's trees here, so a warm
-        restart resumes with the negotiated shapes instead of re-learning
-        them.
+        Greedy and deterministic: while the ceilings exceed the budget, the
+        stream with the largest ceiling (the name breaks ties) gives up one
+        step.  It halves ``k`` down to 1, then raises ``min_level``, but
+        only while that lowers its ceiling: the raw ring buffer holds
+        ``2^(min_level+1)`` values, so past the ceiling's minimum a coarser
+        tree costs more bytes, not fewer.  Raises :exc:`ValueError`, naming
+        the floor, when every stream is at its floor and the ceilings still
+        exceed the budget.  Changes nothing itself.
         """
-        self._ensemble = ensemble
-        if self._restored_streams:
-            for name, cfg in self._restored_streams.items():
-                if name in ensemble.streams:
-                    ensemble.tree(name).reconfigure(
-                        k=cfg["k"], min_level=cfg["min_level"]
-                    )
-            self._restored_streams = None
-
-    def _bound(self) -> "StreamEnsemble":
-        if self._ensemble is None:
-            raise RuntimeError(
-                "governor is not attached to an ensemble "
-                "(use StreamEnsemble.attach_governor)"
-            )
-        return self._ensemble
-
-    # ---------------------------------------------------------- phase steps
-
-    def on_phase(self, phase_index: int) -> bool:
-        """One governor step at a phase boundary; returns True on any change.
-
-        Refreshes the ledger, publishes governor gauges, and — when enabled
-        with a budget — rebalances the ensemble.  Deterministic: the outcome
-        depends only on the ensemble's tree shapes, the registry's observed
-        errors, and ``phase_index``.
-        """
-        ens = self._bound()
-        self.phase_count += 1
-        ens.refresh_ledger()
-        if obs.ENABLED:
-            obs.gauge("governor.ledger_bytes").set(float(ens.ledger.total))
-            if self.budget_bytes is not None:
-                obs.gauge("governor.budget_bytes").set(float(self.budget_bytes))
-        if not self.enabled or self.budget_bytes is None or not len(ens):
-            return False
-        changed = self._rebalance(int(phase_index))
-        if changed:
-            ens.refresh_ledger()
-            if obs.ENABLED:
-                obs.counter("governor.reconfigurations").inc(changed)
-        return changed > 0
-
-    def _rebalance(self, phase: int) -> int:
-        """Degrade to fit the hard budget, else maybe upgrade one stream."""
-        ens = self._bound()
-        assert self.budget_bytes is not None
-        budget = self.budget_bytes
-        window = ens.window_size
+        if self.budget_bytes is None:
+            return {}
+        window = ensemble.window_size
         n_levels = window.bit_length() - 1
-        lvl_lo, lvl_hi = self.min_level_range or (0, n_levels - 1)
-        k_lo = self.k_range[0]
-        k_hi = min(self.k_range[1], window)
-        names = ens.streams  # sorted, so every choice below is deterministic
-        cfg: Dict[str, Tuple[int, int]] = {
-            n: (ens.tree(n).k, ens.tree(n).min_level) for n in names
-        }
-        ceiling = {n: config_nbytes(window, *cfg[n]) for n in names}
+        start = {n: (ensemble.tree(n).k, ensemble.tree(n).min_level) for n in ensemble.streams}
+        shape = dict(start)
+        ceiling = {n: config_nbytes(window, *s) for n, s in shape.items()}
 
-        def degraded(c: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-            k, m = c
-            if k > k_lo:
-                return (max(k_lo, k // 2), m)
-            if m < lvl_hi:
-                return (k, m + 1)
-            return None
+        def degraded(name: str) -> Shape:
+            """One step down from the stream's shape; the shape itself at its floor."""
+            k, m = shape[name]
+            if k > 1:
+                return (k // 2, m)
+            if m + 1 < n_levels and config_nbytes(window, 1, m + 1) < ceiling[name]:
+                return (1, m + 1)
+            return (k, m)
 
-        def upgraded(c: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-            k, m = c
-            if m > lvl_lo:
-                return (k, m - 1)
-            if k < k_hi:
-                return (min(k_hi, k * 2), m)
-            return None
-
-        # Hard budget first: shrink the biggest stream until the ceilings fit.
-        while sum(ceiling.values()) > budget:
-            victims = [n for n in names if degraded(cfg[n]) is not None]
+        while sum(ceiling.values()) > self.budget_bytes:
+            steps = {n: degraded(n) for n in shape}
+            victims = [n for n in shape if steps[n] != shape[n]]
             if not victims:
-                break  # every stream is already at the floor configuration
-            victim = max(victims, key=lambda n: (ceiling[n], n))
-            new_cfg = degraded(cfg[victim])
-            assert new_cfg is not None
-            cfg[victim] = new_cfg
-            ceiling[victim] = config_nbytes(window, *new_cfg)
-        over_budget = sum(ceiling.values()) > budget
-
-        # Hysteresis upgrade: one stream per phase, only with headroom left
-        # after the upgrade, only past the cooldown, worst observed error
-        # first (structurally coarsest first when no error has been seen).
-        threshold = budget * (1.0 - self.headroom)
-        degrades = [n for n in names if cfg[n] != (ens.tree(n).k, ens.tree(n).min_level)]
-        if not degrades and not over_budget and sum(ceiling.values()) <= threshold:
-            ranked: List[Tuple[float, int, int, str]] = []
-            for n in names:
-                up = upgraded(cfg[n])
-                if up is None:
-                    continue
-                if phase - self._last_change.get(n, -(1 << 30)) < self.cooldown_phases:
-                    continue
-                total_after = sum(ceiling.values()) - ceiling[n] + config_nbytes(
-                    window, *up
+                raise ValueError(
+                    f"budget of {self.budget_bytes} bytes is below the "
+                    f"{sum(ceiling.values())}-byte floor of {len(shape)} "
+                    f"stream(s) at window {window}"
                 )
-                if total_after > threshold:
-                    continue
-                err = self._observed_error(n)
-                if self.error_target is not None and (
-                    err is None or err <= self.error_target
-                ):
-                    continue
-                ranked.append((err or 0.0, cfg[n][1], -cfg[n][0], n))
-            if ranked:
-                pick = max(ranked)[3]
-                up = upgraded(cfg[pick])
-                assert up is not None
-                cfg[pick] = up
-
-        changed = 0
-        for n in names:
-            tree = ens.tree(n)
-            if cfg[n] != (tree.k, tree.min_level):
-                tree.reconfigure(k=cfg[n][0], min_level=cfg[n][1])
-                self._last_change[n] = phase
-                self.reconfig_count += 1
-                changed += 1
-        return changed
-
-    def _observed_error(self, name: str) -> Optional[float]:
-        """Mean observed query error for ``name`` from the obs registry."""
-        hist = obs.get_registry().histogram(ERROR_METRIC, stream=name)
-        if hist.count == 0:
-            return None
-        return float(hist.mean)
-
-    # ----------------------------------------------------------- persistence
-
-    def to_state(self) -> Dict[str, Any]:
-        """Checkpointable snapshot: configuration, counters, stream shapes."""
-        streams: Dict[str, Dict[str, int]] = {}
-        if self._ensemble is not None:
-            for n in self._ensemble.streams:
-                tree = self._ensemble.tree(n)
-                streams[n] = {"k": tree.k, "min_level": tree.min_level}
-        elif self._restored_streams:
-            streams = {n: dict(c) for n, c in self._restored_streams.items()}
-        return {
-            "budget_bytes": self.budget_bytes,
-            "enabled": self.enabled,
-            "error_target": self.error_target,
-            "k_range": list(self.k_range),
-            "min_level_range": (
-                None if self.min_level_range is None else list(self.min_level_range)
-            ),
-            "cooldown_phases": self.cooldown_phases,
-            "headroom": self.headroom,
-            "phase_count": self.phase_count,
-            "reconfig_count": self.reconfig_count,
-            "last_change": dict(self._last_change),
-            "streams": streams,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "ResourceGovernor":
-        """Rebuild a governor from :meth:`to_state` (unbound; see :meth:`bind`)."""
-        try:
-            gov = cls(
-                state["budget_bytes"],
-                enabled=bool(state["enabled"]),
-                error_target=state["error_target"],
-                k_range=(int(state["k_range"][0]), int(state["k_range"][1])),
-                min_level_range=(
-                    None
-                    if state["min_level_range"] is None
-                    else (
-                        int(state["min_level_range"][0]),
-                        int(state["min_level_range"][1]),
-                    )
-                ),
-                cooldown_phases=int(state["cooldown_phases"]),
-                headroom=float(state["headroom"]),
-            )
-            gov.phase_count = int(state["phase_count"])
-            gov.reconfig_count = int(state["reconfig_count"])
-            gov._last_change = {
-                str(n): int(p) for n, p in dict(state["last_change"]).items()
-            }
-            gov._restored_streams = {
-                str(n): {"k": int(c["k"]), "min_level": int(c["min_level"])}
-                for n, c in dict(state["streams"]).items()
-            }
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"malformed governor state: {exc}") from exc
-        return gov
-
-
-def save_governor(
-    path: str, governor: ResourceGovernor, meta: Optional[Mapping[str, Any]] = None
-) -> int:
-    """Persist a governor through the standard checkpoint container."""
-    return write_checkpoint(path, "governor", governor.to_state(), meta)
-
-
-def load_governor(path: str) -> ResourceGovernor:
-    """Load a governor checkpoint written by :func:`save_governor`."""
-    state, _meta = load_checkpoint(path, "governor")
-    return ResourceGovernor.from_state(state)
+            victim = max(victims, key=lambda n: (ceiling[n], n))
+            shape[victim] = steps[victim]
+            ceiling[victim] = config_nbytes(window, *shape[victim])
+        return {n: s for n, s in shape.items() if s != start[n]}
 
 
 # ---------------------------------------------------------------- replication

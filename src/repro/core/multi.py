@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..control.accounting import MemoryLedger
-from ..control.shedding import AdmissionError, ArrivalQueue, QueryAdmission, degraded_answer
+from ..control.shedding import ArrivalQueue
 from ..obs import causal as causal_mod
 from ..obs import metrics as obs
 from .engine import QueryEngine
@@ -63,11 +63,9 @@ class StreamEnsemble:
         self.causal = causal_mod.current_causal()
         # Resource-control plumbing (repro.control): the ledger tracks
         # per-stream summary bytes (refreshed on block ingest and at phase
-        # boundaries — never per arrival); governor/admission/queue stay
-        # None unless attached, and a None value is free on the hot paths.
+        # boundaries — never per arrival); the queue stays None unless
+        # attached, and a None value is free on the hot paths.
         self.ledger = MemoryLedger()
-        self.governor: Optional["ResourceGovernor"] = None
-        self.admission: Optional[QueryAdmission] = None
         self._arrival_queue: Optional[ArrivalQueue] = None
         self._ticks = 0
 
@@ -84,37 +82,31 @@ class StreamEnsemble:
 
     # ------------------------------------------------------ resource control
 
-    def attach_governor(self, governor: "ResourceGovernor") -> None:
-        """Attach a resource governor; it runs at every phase boundary.
+    def attach_governor(self, governor: "ResourceGovernor") -> Dict[str, Tuple[int, int]]:
+        """Fit the streams under the governor's byte budget, once.
 
-        The governor immediately takes one step (phase 0), so an
-        over-budget initial configuration is corrected before any data
-        arrives — the budget holds for the *whole* run, not just from the
-        first boundary.
+        The governor plans every stream's ``(k, min_level)`` before any
+        tree is reconfigured, so a budget below the floor raises
+        :exc:`ValueError` with every tree unchanged.  Attach before data
+        arrives: a live tree never exceeds its configured ceiling, so the
+        budget then holds at every arrival of the run and nothing is
+        revisited at phase boundaries.  Returns the new shape of each
+        stream the plan reconfigured.
         """
-        governor.bind(self)
-        self.governor = governor
-        governor.on_phase(self._ticks // max(1, self.window_size >> 1))
+        changes = governor.plan(self)
+        for name, (k, min_level) in changes.items():
+            self._trees[name].reconfigure(k=k, min_level=min_level)
+        self.refresh_ledger()
+        return changes
 
-    def attach_shedding(
-        self,
-        queue_capacity_ticks: Optional[int] = None,
-        *,
-        admission: Optional[QueryAdmission] = None,
-    ) -> None:
-        """Enable load shedding: a bounded arrival queue, query admission, or both.
+    def attach_shedding(self, queue_capacity_ticks: int) -> None:
+        """Enable load shedding through a bounded arrival queue.
 
-        With a queue attached, producers call :meth:`offer_columns` /
-        :meth:`ingest_pending` instead of :meth:`extend_columns`; overflow
-        ticks are dropped deterministically (newest first) and counted under
-        ``shed.*``.  ``admission`` bounds full-fidelity queries per phase;
-        over-budget batches degrade to coarse answers or raise
-        :exc:`~repro.control.shedding.AdmissionError` per its configuration.
+        Producers then call :meth:`offer_columns` / :meth:`ingest_pending`
+        instead of :meth:`extend_columns`; overflow ticks are dropped
+        deterministically (newest first) and counted under ``shed.*``.
         """
-        if queue_capacity_ticks is not None:
-            self._arrival_queue = ArrivalQueue(queue_capacity_ticks)
-        if admission is not None:
-            self.admission = admission
+        self._arrival_queue = ArrivalQueue(queue_capacity_ticks)
 
     @property
     def arrival_queue(self) -> Optional[ArrivalQueue]:
@@ -129,8 +121,8 @@ class StreamEnsemble:
     def refresh_ledger(self) -> None:
         """Re-read every stream's exact byte count into the ledger.
 
-        One walk per stream — called at phase boundaries and by the
-        governor around reconfigurations, never per arrival.
+        One walk per stream — called at phase boundaries and after the
+        governor's plan, never per arrival.
         """
         for name, tree in self._trees.items():
             self.ledger.set(name, tree.nbytes)
@@ -167,17 +159,11 @@ class StreamEnsemble:
         return total
 
     def _after_ingest(self, before: int, after: int) -> None:
-        """Run phase-boundary hooks for every boundary the ingest crossed."""
+        """Refresh the ledger and stream gauges when the ingest crossed a
+        phase boundary (every N/2 ticks)."""
         half = self.window_size >> 1
-        if half <= 0 or (after // half) == (before // half):
-            return
-        for phase in range(before // half + 1, after // half + 1):
-            if self.admission is not None:
-                self.admission.on_phase()
-            if self.governor is not None:
-                self.governor.on_phase(phase)
-            else:
-                self.refresh_ledger()
+        if half > 0 and (after // half) != (before // half):
+            self.refresh_ledger()
             self._publish_stream_gauges()
 
     def _publish_stream_gauges(self) -> None:
@@ -287,18 +273,6 @@ class StreamEnsemble:
         if unknown:
             raise KeyError(f"unknown streams {sorted(unknown)}")
         total = sum(len(queries_by_stream[n]) for n in names)
-        if self.admission is not None and not self.admission.try_admit(total):
-            if not self.admission.degrade:
-                raise AdmissionError(
-                    f"{total} queries refused: per-phase admission budget of "
-                    f"{self.admission.max_queries_per_phase} is exhausted"
-                )
-            if obs.ENABLED:
-                obs.counter("shed.queries_degraded").inc(total)
-            return {
-                n: [degraded_answer(self._trees[n], q) for q in queries_by_stream[n]]
-                for n in names
-            }
         root = (
             self.causal.start_span(
                 "ensemble.answer_batch",

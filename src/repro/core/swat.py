@@ -297,10 +297,12 @@ class Swat:
         """Exact array bytes held by the summary (analytic, no ``getsizeof``).
 
         Counts every maintained node's coefficient/position arrays plus the
-        raw ring buffer (8 bytes per retained float).  This is the quantity
-        the resource governor budgets: the state that scales with ``k`` and
-        ``min_level``.  Container overheads (dicts, the node objects
-        themselves) are configuration-independent bookkeeping and excluded.
+        raw ring buffer (8 bytes per retained float): the state that scales
+        with ``k`` and ``min_level``.  The ensemble's ledger sums it, and it
+        never exceeds :func:`~repro.control.accounting.config_nbytes`, the
+        ceiling the resource governor's budget plan is computed on.
+        Container overheads (dicts, the node objects themselves) are
+        configuration-independent bookkeeping and excluded.
         """
         total = 8 * len(self._buffer)
         for lv in self._levels[self.min_level :]:
@@ -634,9 +636,9 @@ class Swat:
 
         ``k`` truncates (or allows future growth of) every node's coefficient
         vector; ``min_level`` switches between the full and reduced-level
-        trees.  Returns True when anything actually changed.  Intended to be
-        called at phase boundaries by the resource governor
-        (:mod:`repro.control`), but safe at any arrival.
+        trees.  Returns True when anything actually changed.  The resource
+        governor (:mod:`repro.control`) calls it once, when it attaches,
+        normally before any data; it is safe at any arrival.
 
         Semantics:
 

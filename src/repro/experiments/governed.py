@@ -5,17 +5,17 @@ but the paper never operationalizes: *given a global byte budget, what
 accuracy can a multi-stream deployment afford?*  The driver replays the
 same seeded workload against a :class:`~repro.core.multi.StreamEnsemble`
 under a sweep of budgets, with the
-:class:`~repro.control.governor.ResourceGovernor` negotiating per-stream
-``(k, min_level)`` at phase boundaries and the bounded arrival queue
-shedding a deterministic overload slice, and reports one frontier row per
-budget: peak ledger bytes (vs the budget), the final negotiated shapes,
-the p95 observed relative error of range-average queries, reconfiguration
-count, and shed ticks.
+:class:`~repro.control.governor.ResourceGovernor` planning per-stream
+``(k, min_level)`` once, before the first value, and the bounded arrival
+queue shedding a deterministic overload slice.  It reports one frontier row
+per budget: peak ledger bytes (vs the budget), the planned shapes, the p95
+observed relative error of range-average queries, reconfiguration count,
+and shed ticks.
 
 Two control runs pin the governor's safety story:
 
 * a plain run with **no governor attached**, and
-* a run with a governor attached but ``enabled=False``,
+* a run with a governor attached but no budget (``ResourceGovernor(None)``),
 
 must produce **bit-identical** answers and tree states.  Both runs are
 fingerprinted with the shake machinery
@@ -30,11 +30,10 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..control.accounting import config_nbytes
-from ..control.governor import ERROR_METRIC, ResourceGovernor
+from ..control.governor import ResourceGovernor
 from ..core.multi import StreamEnsemble
 from ..core.queries import InnerProductQuery
 from ..data.synthetic import random_walk_stream
-from ..obs import metrics as obs
 from ..simulate.shake import _canon, fingerprint_digest
 
 __all__ = ["govern_frontier"]
@@ -58,7 +57,6 @@ def _drive(
     block: int,
     query_every_blocks: int,
     query_lengths: Sequence[int],
-    feed_registry: bool,
 ) -> Dict[str, Any]:
     """Replay one workload; returns answers, errors, and control counters.
 
@@ -74,14 +72,12 @@ def _drive(
         ens.add_stream(name)
     if queue_capacity is not None:
         ens.attach_shedding(queue_capacity_ticks=queue_capacity)
-    if governor is not None:
-        ens.attach_governor(governor)
+    reconfigs = 0 if governor is None else len(ens.attach_governor(governor))
 
     history: Dict[str, List[float]] = {name: [] for name in names}
     answers: List[float] = []
     errors: List[float] = []
     violations = 0
-    registry = obs.get_registry()
     n_blocks = 0
     for lo in range(0, n_ticks, block):
         cols = {name: data[name][lo : lo + block] for name in names}
@@ -112,8 +108,6 @@ def _drive(
                 rel = abs(float(answer.value) - true) / (abs(true) + 1e-12)
                 answers.append(float(answer.value))
                 errors.append(rel)
-                if feed_registry:
-                    registry.histogram(ERROR_METRIC, stream=name).observe(rel)
     queue = ens.arrival_queue
     payload = {
         "answers": answers,
@@ -123,6 +117,7 @@ def _drive(
         "answers": answers,
         "errors": errors,
         "violations": violations,
+        "reconfigs": reconfigs,
         "peak_bytes": ens.ledger.peak,
         "final_bytes": ens.ledger.total,
         "ticks_ingested": ens.ticks,
@@ -152,8 +147,9 @@ def govern_frontier(
     the whole run, ``budget_ok`` (the ledger never exceeded the budget at
     any check), the final mean ``k`` / ``min_level`` across streams, the
     p95 relative error of the range-average probes against ``target``, the
-    number of governor reconfigurations, and deterministically shed ticks.
-    ``fingerprint_match`` is the disabled-governor bit-identity check.
+    number of trees the governor's plan reconfigured, and deterministically
+    shed ticks.  ``fingerprint_match`` is the disabled-governor bit-identity
+    check.
     """
     if quick:
         n_blocks = min(n_blocks, 12)
@@ -176,24 +172,21 @@ def govern_frontier(
     baseline = _drive(
         data, window_size, k,
         governor=None, budget_bytes=None, queue_capacity=queue_capacity,
-        feed_registry=False, **common,
+        **common,
     )
     disabled = _drive(
         data, window_size, k,
-        governor=ResourceGovernor(max(1, full // 4), enabled=False),
-        budget_bytes=None, queue_capacity=queue_capacity,
-        feed_registry=False, **common,
+        governor=ResourceGovernor(None), budget_bytes=None,
+        queue_capacity=queue_capacity, **common,
     )
 
     rows: List[Dict[str, Any]] = []
     for frac in budget_fractions:
         budget = max(1, int(full * frac))
-        obs.get_registry().reset(prefix=ERROR_METRIC)
-        governor = ResourceGovernor(budget, k_range=(1, k))
         run = _drive(
             data, window_size, k,
-            governor=governor, budget_bytes=budget,
-            queue_capacity=queue_capacity, feed_registry=True, **common,
+            governor=ResourceGovernor(budget), budget_bytes=budget,
+            queue_capacity=queue_capacity, **common,
         )
         shapes = run["shapes"]
         p95 = float(np.percentile(run["errors"], 95)) if run["errors"] else 0.0
@@ -206,10 +199,9 @@ def govern_frontier(
             "mean_min_level": float(np.mean([s[1] for s in shapes.values()])),
             "p95_rel_err": p95,
             "err_ok": p95 <= error_p95_target,
-            "reconfigs": governor.reconfig_count,
+            "reconfigs": run["reconfigs"],
             "ticks_shed": int(run["ticks_shed"]),
         })
-    obs.get_registry().reset(prefix=ERROR_METRIC)
     return {
         "rows": rows,
         "full_nbytes": full,

@@ -3,7 +3,7 @@
 from .adr import AdrObject
 from .aps import AdaptivePrecision
 from .async_asr import DEGRADED_WIDEN_FACTOR, AsyncSwatAsr, QueryOutcome
-from .base import ReplicationProtocol, uniform_tolerance
+from .base import ReplicationProtocol
 from .divergence import EVENT_WINDOW, DivergenceCaching, optimal_refresh_width
 from .harness import (
     PROTOCOLS,
@@ -20,7 +20,6 @@ __all__ = [
     "QueryOutcome",
     "DEGRADED_WIDEN_FACTOR",
     "ReplicationProtocol",
-    "uniform_tolerance",
     "DivergenceCaching",
     "optimal_refresh_width",
     "EVENT_WINDOW",

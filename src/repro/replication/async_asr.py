@@ -94,6 +94,7 @@ from ..persist import (
 )
 from ..simulate import shake as shake_mod
 from ..simulate.events import Simulator
+from .base import require_positive_weights
 
 __all__ = ["AsyncSwatAsr", "QueryOutcome", "DEGRADED_WIDEN_FACTOR"]
 
@@ -270,7 +271,7 @@ class _Site:
             else:
                 width = approx[1] - approx[0]
             offered += sum(map(weights.__getitem__, indices)) * width
-        if offered > query.precision:
+        if not offered <= query.precision:  # fails closed on nan
             return None
         estimates: Dict[int, float] = {}
         halfwidths: Dict[int, float] = {}
@@ -1085,10 +1086,12 @@ class AsyncSwatAsr:
         :attr:`query_outcomes`.  Under a fault plan this never raises: a
         crashed client or a fully lost response chain degrades to the
         client's last-known summary instead.  An unknown ``client`` raises
-        :exc:`KeyError` before the clock moves or a span opens.
+        :exc:`KeyError`, and a weight of zero or below :exc:`ValueError`,
+        before the clock moves or a span opens.
         """
         if client not in self.topology:
             raise KeyError(f"unknown site {client!r}")
+        require_positive_weights(query)
         if not self.is_warm:
             raise RuntimeError("stream window not yet full; warm up before querying")
         if now is not None and now > self.sim.now:

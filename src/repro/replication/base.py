@@ -16,7 +16,10 @@ Section 3 walk-through.  DC and APS run per data item (the paper's setup),
 so a query decomposes into per-item reads with weight-proportional
 tolerances ``t_i = delta / (M * W[i])`` — the unique per-item split with
 ``sum_i W[i] * t_i = delta``.  Midpoint answers then err by at most
-``delta / 2`` under every protocol.
+``delta / 2`` under every protocol.  Both tests assume positive weights
+(Section 2.1's precision bounds the error only then), so every protocol
+rejects any other query with :func:`require_positive_weights` before it
+does any work.
 """
 
 from __future__ import annotations
@@ -29,15 +32,20 @@ from ..network.messages import MessageStats
 from ..network.topology import Topology
 from ..obs import causal as causal_mod
 
-__all__ = ["ReplicationProtocol", "uniform_tolerance", "per_index_tolerances"]
+__all__ = ["ReplicationProtocol", "require_positive_weights", "per_index_tolerances"]
 
 
-def uniform_tolerance(query: InnerProductQuery) -> float:
-    """Per-index range-width threshold ``delta / sum(W)`` for a query."""
-    total_w = sum(query.weights)
-    if total_w <= 0:
-        raise ValueError("query weights must have positive total")
-    return query.precision / total_w
+def require_positive_weights(query: InnerProductQuery) -> None:
+    """Raise :exc:`ValueError`, naming the weights, unless every one is > 0.
+
+    With a weight of zero or below, signed terms cancel in the whole-query
+    test and a zero weight makes a per-item tolerance infinite, so neither
+    test would bound the answer's error by the query's precision.
+    """
+    if not all(w > 0 for w in query.weights):
+        raise ValueError(
+            f"query weights must be positive, got {[float(w) for w in query.weights]}"
+        )
 
 
 def per_index_tolerances(query: InnerProductQuery) -> dict:
@@ -46,13 +54,9 @@ def per_index_tolerances(query: InnerProductQuery) -> dict:
     High-weight (recent) items get tight tolerances; the allocation is the
     unique per-item split with ``sum_i W[i] * t_i = delta``.
     """
+    require_positive_weights(query)
     m = query.length
-    out = {}
-    for idx, w in zip(query.indices, query.weights):
-        if w <= 0:
-            raise ValueError("query weights must be positive")
-        out[idx] = query.precision / (m * w)
-    return out
+    return {idx: query.precision / (m * w) for idx, w in zip(query.indices, query.weights)}
 
 
 class ReplicationProtocol(abc.ABC):

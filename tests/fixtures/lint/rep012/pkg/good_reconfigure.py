@@ -5,8 +5,8 @@ def shrink(tree):
     tree.reconfigure(k=2)  # the sanctioned reconfiguration entry point
 
 
-def rebalance(governor, phase):
-    governor.on_phase(phase)  # control subsystem owns the tuning decisions
+def rebalance(ensemble, governor):
+    ensemble.attach_governor(governor)  # control subsystem owns the tuning decisions
 
 
 class Scheduler:

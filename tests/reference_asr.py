@@ -11,6 +11,7 @@ from collections import Counter
 
 from repro.metrics.error import GroundTruthWindow
 from repro.network.directory import Directory
+from repro.replication.base import require_positive_weights
 
 
 class ReferenceAsr:
@@ -51,6 +52,7 @@ class ReferenceAsr:
     # -------------------------------------------- Figure 8(a), query branch
 
     def on_query(self, client, query):
+        require_positive_weights(query)
         by_segment = {}
         for idx in query.indices:
             by_segment.setdefault(self.sites[client].segment_of(idx), []).append(idx)

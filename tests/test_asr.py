@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.contracts import check_async_asr
-from repro.core.queries import linear_query, point_query
+from repro.core.queries import InnerProductQuery, linear_query, point_query
 from repro.network.directory import Segment
 from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
@@ -115,6 +115,23 @@ class TestProtocolProperties:
         with pytest.raises(KeyError):
             asr.on_query("C99", point_query(0, precision=1.0), now=100.0)
         assert asr.sim.now == 0.0
+        assert ambient_tracer.spans
+        assert all(span.finished for span in ambient_tracer.spans)
+
+    def test_signed_weights_rejected(self, ambient_tracer):
+        """Weights (1, -1) on one segment sum to 0, and 0 x inf is nan on an
+        uncached row: the query is refused before the clock moves, a message
+        is sent or a span opens."""
+        asr = AsyncSwatAsr(Topology.complete_binary_tree(6), 32)
+        for value in np.random.default_rng(0).uniform(0, 100, 32):
+            asr.on_data(float(value))
+        sent = asr.stats.snapshot()
+        query = InnerProductQuery((0, 1), (1.0, -1.0), precision=5.0)
+        for client in asr.topology.clients:
+            with pytest.raises(ValueError, match=r"\[1\.0, -1\.0\]"):
+                asr.on_query(client, query, now=100.0)
+        assert asr.sim.now < 100.0
+        assert asr.stats.snapshot() == sent
         assert ambient_tracer.spans
         assert all(span.finished for span in ambient_tracer.spans)
 

@@ -158,8 +158,25 @@ class TestTrace:
         assert "bit-identical" in out
         report = json.loads(path.read_text())
         assert report["fingerprint_match"] is True
-        assert report["rows"]
         assert all(row["budget_ok"] for row in report["rows"])
+        # The whole --quick frontier, pinned: any change to the budget plan,
+        # the ledger or the shedding queue moves one of these numbers.
+        rows = [
+            (r["budget"], r["peak"], r["mean_k"], r["mean_min_level"],
+             r["reconfigs"], r["ticks_shed"])
+            for r in report["rows"]
+        ]
+        assert rows == [
+            (3200, 3200, 8, 0, 0, 96),
+            (1920, 1920, 4, 0, 4, 96),
+            (1120, 1088, 2, 0, 4, 96),
+            (640, 576, 1, 0, 4, 96),
+        ]
+        exact = pytest.approx(7.080371446471961e-16, rel=1e-9, abs=1e-12)
+        coarse = pytest.approx(0.05972570727227872, rel=1e-9, abs=1e-12)
+        assert [r["p95_rel_err"] for r in report["rows"]] == [exact, exact, exact, coarse]
+        assert (report["ticks_ingested"], report["ticks_shed"]) == (864, 96)
+        assert report["baseline_digest"] == report["disabled_digest"] == "39c714d735136768"
 
     def test_govern_report_out_bad_dir_errors(self, capsys, restore_obs):
         assert main(["govern", "--quick", "--report-out", "/nonexistent-xyz/r.json"]) == 2

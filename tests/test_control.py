@@ -1,10 +1,9 @@
 """The resource-control subsystem (:mod:`repro.control`).
 
 Exact byte accounting (analytic ``nbytes``, the ledger, the configured
-ceiling), the adaptive governor (hard budget, hysteresis, disabled
-bit-identity), load shedding (bounded arrival queue, query admission,
-degraded answers), the replication cache-row governor, and governor
-persistence through the standard checkpoint container.
+ceiling), the one-shot budget plan (hard budget at every block, the floor,
+disabled bit-identity), the bounded arrival queue, and the replication
+cache-row governor.
 """
 
 import numpy as np
@@ -13,18 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import (
-    AdmissionError,
     ArrivalQueue,
     MemoryLedger,
-    QueryAdmission,
     ResourceGovernor,
     ReplicaGovernor,
     config_nbytes,
-    degraded_answer,
-    load_governor,
-    save_governor,
 )
-from repro.control.governor import ERROR_METRIC
 from repro.core.multi import StreamEnsemble
 from repro.core.queries import linear_query, point_query
 from repro.core.swat import Swat
@@ -115,84 +108,72 @@ class TestMemoryLedger:
 # ------------------------------------------------------------------ governor
 
 
-def _governed_ensemble(budget, window=64, k=8, n_streams=3, **kwargs):
+def _ensemble(window, k, n_streams):
     ens = StreamEnsemble(window, k=k)
     for i in range(n_streams):
         ens.add_stream(f"S{i}")
-    gov = ResourceGovernor(budget, k_range=(1, k), **kwargs)
-    ens.attach_governor(gov)
-    return ens, gov
+    return ens
+
+
+def _shapes(ens):
+    return {n: (ens.tree(n).k, ens.tree(n).min_level) for n in ens.streams}
 
 
 class TestResourceGovernor:
-    def test_budget_holds_at_every_arrival(self):
-        window, k, n_streams = 64, 8, 3
-        budget = (n_streams * config_nbytes(window, k, 0)) * 2 // 5
-        ens, gov = _governed_ensemble(budget)
-        for value in random_walk_stream(8 * window, seed=3):
-            ens.update({name: float(value) for name in ens.streams})
+    @given(
+        window=st.sampled_from([16, 32, 64, 256]),
+        n_streams=st.integers(1, 6),
+        k=st.sampled_from([1, 2, 4, 8, 16]),
+        block=st.sampled_from([5, 8, 37]),
+        seed=st.integers(0, 50),
+        data=st.data(),
+    )
+    @settings(max_examples=40)
+    def test_budget_holds_at_every_arrival(self, window, n_streams, k, block, seed, data):
+        """Between the floor and the full ceiling the plan holds the ledger
+        within the budget after every block; below the floor attach raises
+        and leaves every tree's shape as it was."""
+        floor = n_streams * config_nbytes(window, 1, 1)
+        full = n_streams * config_nbytes(window, k, 0)
+        budget = data.draw(
+            st.one_of(st.integers(1, floor - 1), st.integers(floor, full)),
+            label="budget",
+        )
+        ens = _ensemble(window, k, n_streams)
+        if budget < floor:
+            with pytest.raises(ValueError, match=f"below the {floor}-byte floor"):
+                ens.attach_governor(ResourceGovernor(budget))
+            assert set(_shapes(ens).values()) == {(k, 0)}
+            return
+        ens.attach_governor(ResourceGovernor(budget))
+        assert ens.ledger.total <= budget
+        streams = {
+            name: random_walk_stream(3 * window, seed=seed + i)
+            for i, name in enumerate(ens.streams)
+        }
+        for lo in range(0, 3 * window, block):
+            ens.extend_columns({n: col[lo : lo + block] for n, col in streams.items()})
             assert ens.ledger.total <= budget
-        assert gov.reconfig_count > 0
 
-    def test_no_thrash_once_fitted(self):
-        budget = 3 * config_nbytes(64, 2, 0)  # fits k=2 exactly, no headroom
-        ens, gov = _governed_ensemble(budget)
-        data = random_walk_stream(16 * 64, seed=4)
-        for lo in range(0, len(data), 64):
-            ens.extend_columns(
-                {name: data[lo : lo + 64] for name in ens.streams}
-            )
-        first_fit = gov.reconfig_count
-        assert first_fit > 0
-        for lo in range(0, len(data), 64):
-            ens.extend_columns(
-                {name: data[lo : lo + 64] for name in ens.streams}
-            )
-        # Budget sits inside the headroom band: no upgrade, no oscillation.
-        assert gov.reconfig_count == first_fit
-
-    def test_roomy_budget_upgrades_back_to_ceiling(self):
-        window, k = 64, 8
-        full = 2 * config_nbytes(window, k, 0)
-        ens = StreamEnsemble(window, k=1)
-        ens.add_stream("S0")
-        ens.add_stream("S1")
-        gov = ResourceGovernor(full * 2, k_range=(1, k), cooldown_phases=0)
-        ens.attach_governor(gov)
-        for value in random_walk_stream(40 * window, seed=5):
-            ens.update({name: float(value) for name in ens.streams})
-        assert all(ens.tree(n).k == k for n in ens.streams)
+    def test_govern_ensemble_below_its_floor_raises(self):
+        """``repro govern``'s ensemble under 480 bytes.  At k=1 a stream's
+        ceiling is smallest at min_level 1: raising it further grows the raw
+        ring buffer faster than it drops nodes, so the floor is 4 x 136."""
+        assert [config_nbytes(64, 1, m) for m in range(6)] == [144, 136, 144, 184, 288, 520]
+        ens = _ensemble(64, 8, 4)
+        with pytest.raises(ValueError, match="below the 544-byte floor"):
+            ens.attach_governor(ResourceGovernor(480))
+        assert set(_shapes(ens).values()) == {(8, 0)}
+        changes = ens.attach_governor(ResourceGovernor(544))
+        assert changes == _shapes(ens) == {n: (1, 1) for n in ens.streams}
 
     def test_monitor_only_never_reconfigures(self):
         ens = StreamEnsemble(32, k=4)
         ens.add_stream("S0")
-        gov = ResourceGovernor(None)  # no budget: observe only
-        ens.attach_governor(gov)
+        assert ens.attach_governor(ResourceGovernor(None)) == {}  # no budget: no plan
         for value in random_walk_stream(200, seed=6):
             ens.update({"S0": float(value)})
-        assert gov.reconfig_count == 0
         assert ens.tree("S0").k == 4
-
-    def test_error_target_gates_upgrades(self, obs_registry):
-        ens = StreamEnsemble(32, k=1)
-        ens.add_stream("S0")
-        gov = ResourceGovernor(
-            10 * config_nbytes(32, 8, 0),
-            k_range=(1, 8),
-            cooldown_phases=0,
-            error_target=0.5,
-        )
-        ens.attach_governor(gov)
-        # Observed error below the target: no upgrade pressure at all.
-        obs_registry.histogram(ERROR_METRIC, stream="S0").observe(0.01)
-        for value in random_walk_stream(10 * 32, seed=7):
-            ens.update({"S0": float(value)})
-        assert ens.tree("S0").k == 1
-        # Error above the target: upgrades resume.
-        obs_registry.histogram(ERROR_METRIC, stream="S0").observe(100.0)
-        for value in random_walk_stream(10 * 32, seed=8):
-            ens.update({"S0": float(value)})
-        assert ens.tree("S0").k > 1
 
     @given(
         window=st.sampled_from([16, 32, 64]),
@@ -208,9 +189,7 @@ class TestResourceGovernor:
         for ens in (plain, governed):
             ens.add_stream("S0")
             ens.add_stream("S1")
-        governed.attach_governor(
-            ResourceGovernor(config_nbytes(window, 1, 0), enabled=False)
-        )
+        governed.attach_governor(ResourceGovernor(None))
         for lo in range(0, len(data), window // 2):
             block = data[lo : lo + window // 2]
             plain.extend_columns({"S0": block, "S1": -block})
@@ -263,56 +242,6 @@ class TestArrivalQueue:
         ens.add_stream("a")
         with pytest.raises(RuntimeError):
             ens.offer_columns({"a": [1.0]})
-
-
-class TestQueryAdmission:
-    def test_budget_resets_per_phase(self):
-        adm = QueryAdmission(2)
-        assert adm.try_admit(2)
-        assert not adm.try_admit(1)
-        adm.on_phase()
-        assert adm.try_admit(1)
-        assert adm.queries_admitted == 3
-        assert adm.queries_shed == 1
-
-    def test_ensemble_degrades_over_budget_batches(self):
-        ens = StreamEnsemble(16, k=2)
-        ens.add_stream("a")
-        ens.attach_shedding(admission=QueryAdmission(1, degrade=True))
-        ens.extend_columns({"a": random_walk_stream(32, seed=9)})
-        q = point_query(0)
-        full = ens.answer_batch({"a": [q]})["a"][0]
-        degraded = ens.answer_batch({"a": [q]})["a"][0]  # budget now exhausted
-        assert full.error_bound != float("inf")
-        assert full.n_extrapolated == 0
-        assert degraded.error_bound == float("inf")
-        assert degraded.n_extrapolated == 1
-
-    def test_ensemble_raises_without_degradation(self):
-        ens = StreamEnsemble(16, k=2)
-        ens.add_stream("a")
-        ens.attach_shedding(admission=QueryAdmission(1, degrade=False))
-        ens.extend_columns({"a": random_walk_stream(32, seed=10)})
-        ens.answer_batch({"a": [point_query(0)]})
-        with pytest.raises(AdmissionError):
-            ens.answer_batch({"a": [point_query(0)]})
-
-
-class TestDegradedAnswer:
-    def test_coarsest_average_serves_every_index(self):
-        tree = Swat(16, k=2)
-        data = _fill(tree, 40, seed=11)
-        answer = degraded_answer(tree, linear_query(8))
-        coarsest = [n for n in tree.nodes() if n.is_filled][-1]
-        assert np.allclose(answer.estimates, coarsest.average())
-        assert answer.n_extrapolated == 8
-        assert answer.error_bound == float("inf")
-
-    def test_cold_tree_falls_back_to_buffer_then_zero(self):
-        tree = Swat(16, k=2)
-        assert degraded_answer(tree, point_query(0)).value == 0.0
-        tree.update(4.0)
-        assert degraded_answer(tree, point_query(0)).value == 4.0
 
 
 # --------------------------------------------------------- replica governor
@@ -371,38 +300,3 @@ class TestReplicaGovernor:
         assert fingerprint_digest(
             fingerprint_system(explicit)
         ) == fingerprint_digest(fingerprint_system(implicit))
-
-
-# --------------------------------------------------------------- persistence
-
-
-class TestGovernorPersistence:
-    def test_state_roundtrip_through_checkpoint(self, tmp_path):
-        ens, gov = _governed_ensemble(
-            2 * config_nbytes(64, 8, 0), error_target=0.1, cooldown_phases=2
-        )
-        for value in random_walk_stream(4 * 64, seed=12):
-            ens.update({name: float(value) for name in ens.streams})
-        path = str(tmp_path / "governor.ckpt")
-        save_governor(path, gov, meta={"run": "test"})
-        restored = load_governor(path)
-        assert restored.to_state() == gov.to_state()
-
-    def test_restored_shapes_reapplied_on_bind(self, tmp_path):
-        window, k = 64, 8
-        budget = 3 * config_nbytes(window, 2, 0)
-        ens, gov = _governed_ensemble(budget, window=window, k=k)
-        for value in random_walk_stream(4 * window, seed=13):
-            ens.update({name: float(value) for name in ens.streams})
-        negotiated = {n: (ens.tree(n).k, ens.tree(n).min_level) for n in ens.streams}
-        assert any(cfg != (k, 0) for cfg in negotiated.values())
-        path = str(tmp_path / "governor.ckpt")
-        save_governor(path, gov)
-
-        fresh = StreamEnsemble(window, k=k)
-        for name in ens.streams:
-            fresh.add_stream(name)
-        fresh.attach_governor(load_governor(path))
-        assert {
-            n: (fresh.tree(n).k, fresh.tree(n).min_level) for n in fresh.streams
-        } == negotiated

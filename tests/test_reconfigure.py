@@ -5,7 +5,7 @@ equals a tree that ran small all along), min_level changes settle cleanly
 under the runtime contracts, batched ingest stays bit-identical to scalar
 across arbitrary reconfigure sequences, the epoch bump invalidates compiled
 query plans, and — the Section 2.6 property — observed range-query error
-never exceeds :func:`~repro.control.query_error_bound` across random
+never exceeds :func:`~repro.core.errors.query_error_bound` across random
 reconfigurations at phase boundaries.
 """
 
@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.contracts import check_swat
-from repro.control import config_nbytes, query_error_bound
+from repro.control import config_nbytes
 from repro.core.engine import QueryEngine
+from repro.core.errors import query_error_bound
 from repro.core.queries import InnerProductQuery, linear_query, point_query
 from repro.core.swat import Swat
 from repro.data.synthetic import random_walk_stream, uniform_stream

@@ -1,6 +1,8 @@
 """Property tests for the replication layer: cached state stays *valid*
 (encloses the truth) under arbitrary interleavings of data, queries, and
-phases — the soundness on which every precision guarantee rests.
+phases — the soundness on which every precision guarantee rests — and every
+answer is within delta/2 of the truth, as ``repro.replication.base``
+promises for all three protocols.
 """
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.queries import linear_query
+from repro.core.queries import exponential_query, linear_query
 from repro.network.topology import SOURCE, Topology
 from repro.replication import AdaptivePrecision, AsyncSwatAsr, DivergenceCaching
 
 N = 16
 VR = (0.0, 100.0)
+QUERIES = {"linear": linear_query, "exponential": exponential_query}
 
 schedule = st.lists(
     st.tuples(
@@ -21,6 +24,7 @@ schedule = st.lists(
         st.floats(0, 100, allow_nan=False),
         st.integers(0, 3),  # client selector
         st.floats(0.5, 40.0, allow_nan=False),  # precision
+        st.sampled_from(sorted(QUERIES)),  # query weights
     ),
     min_size=5,
     max_size=80,
@@ -28,14 +32,15 @@ schedule = st.lists(
 
 
 def drive(protocol, steps, clients):
-    """Run a schedule; returns (queries_answered, worst_error)."""
+    """Run a schedule; returns (queries_answered, worst_error), where the
+    error is how far an answer lies outside delta/2 of the truth."""
     rng_values = iter(np.random.default_rng(0).uniform(0, 100, 2000))
     for __ in range(N):  # warm up the window
         protocol.on_data(next(rng_values), now=0.0)
     t = float(N)
     worst = 0.0
     answered = 0
-    for kind, value, client_idx, precision in steps:
+    for kind, value, client_idx, precision, shape in steps:
         t += 1.0
         if kind == "data":
             protocol.on_data(value, now=t)
@@ -43,10 +48,10 @@ def drive(protocol, steps, clients):
             protocol.on_phase_end(now=t)
         else:
             client = clients[client_idx % len(clients)]
-            q = linear_query(6, precision=precision)
+            q = QUERIES[shape](6, precision=precision)
             ans = protocol.on_query(client, q, now=t)
             truth = q.evaluate(protocol.window.values_newest_first())
-            worst = max(worst, abs(ans - truth) - precision)
+            worst = max(worst, abs(ans - truth) - precision / 2)
             answered += 1
     return answered, worst
 
@@ -88,7 +93,7 @@ class TestCacheValidity:
         for __ in range(N):
             asr.on_data(next(rng_values))
         t = float(N)
-        for kind, value, client_idx, precision in steps:
+        for kind, value, client_idx, precision, shape in steps:
             t += 1.0
             if kind == "data":
                 asr.on_data(value, now=t)
@@ -96,7 +101,7 @@ class TestCacheValidity:
                 asr.on_phase_end(now=t)
             else:
                 client = topo.clients[client_idx % len(topo.clients)]
-                asr.on_query(client, linear_query(6, precision=precision), now=t)
+                asr.on_query(client, QUERIES[shape](6, precision=precision), now=t)
             for node in topo.nodes:
                 for seg in asr.sites[SOURCE].directory.segments:
                     row = asr.sites[node].directory.row(seg)
@@ -116,12 +121,12 @@ class TestCacheValidity:
         for __ in range(N):
             dc.on_data(next(rng_values))
         t = float(N)
-        for kind, value, __unused, precision in steps:
+        for kind, value, __unused, precision, shape in steps:
             t += 1.0
             if kind == "data":
                 dc.on_data(value, now=t)
             elif kind == "query":
-                dc.on_query("C1", linear_query(6, precision=precision), now=t)
+                dc.on_query("C1", QUERIES[shape](6, precision=precision), now=t)
             state = dc.clients["C1"]
             vals = dc.window.values_newest_first() - dc.value_low
             assert np.all(vals >= state.lo - 1e-9)
@@ -136,12 +141,12 @@ class TestCacheValidity:
         for __ in range(N):
             aps.on_data(next(rng_values))
         t = float(N)
-        for kind, value, __unused, precision in steps:
+        for kind, value, __unused, precision, shape in steps:
             t += 1.0
             if kind == "data":
                 aps.on_data(value, now=t)
             elif kind == "query":
-                aps.on_query("C1", linear_query(6, precision=precision), now=t)
+                aps.on_query("C1", QUERIES[shape](6, precision=precision), now=t)
             vals = aps.window.values_newest_first() - aps.value_low
             assert np.all(vals >= aps.lo["C1"] - 1e-9)
             assert np.all(vals <= aps.hi["C1"] + 1e-9)

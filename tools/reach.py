@@ -23,10 +23,8 @@ A decorated function is reached when a called code object starts on its
 * a per-module table of unreached and total lines;
 * one ``module:line  qualname  lines`` line per unreached function.
 
-The quick benchmarks rewrite the committed ``benchmarks/results/`` tables;
-the tool saves their bytes first and puts them back afterwards, so the
-working tree ends as it started.  The exit status is 1 when an entry failed,
-since its reach is then incomplete.
+The exit status is 1 when an entry failed, since its reach is then
+incomplete.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from typing import Dict, Iterator, List, NamedTuple, Set, Tuple, Union
 REPO = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 SRC = os.path.join(REPO, "src")
 PACKAGE = os.path.join(SRC, "repro")
-RESULTS = os.path.join(REPO, "benchmarks", "results")
 
 FIGURES = (
     "fig4a", "fig4c", "fig5", "fig6a", "fig6b", "fig9a", "fig9b", "fig9c",
@@ -153,26 +150,6 @@ def package_functions() -> List[Function]:
     return found
 
 
-def _snapshot_results() -> Dict[str, bytes]:
-    saved = {}
-    for name in os.listdir(RESULTS):
-        path = os.path.join(RESULTS, name)
-        if os.path.isfile(path):
-            with open(path, "rb") as fh:
-                saved[path] = fh.read()
-    return saved
-
-
-def _restore_results(saved: Dict[str, bytes]) -> None:
-    for name in os.listdir(RESULTS):
-        path = os.path.join(RESULTS, name)
-        if os.path.isfile(path) and path not in saved:
-            os.remove(path)
-    for path, data in saved.items():
-        with open(path, "wb") as fh:
-            fh.write(data)
-
-
 def run_entries(entries: List[str], scratch: str) -> Tuple[Set[Tuple[str, int]], List[str]]:
     """Run each entry under the hook; return the reached (module, line) keys
     and the entries that exited non-zero."""
@@ -238,12 +215,8 @@ def report(functions: List[Function], reached: Set[Tuple[str, int]]) -> str:
 
 def main(argv: List[str]) -> int:
     entries = argv or default_entries()
-    saved = _snapshot_results()
-    try:
-        with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-            reached, failed = run_entries(entries, scratch)
-    finally:
-        _restore_results(saved)
+    with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
+        reached, failed = run_entries(entries, scratch)
     print(report(package_functions(), reached))
     for entry in failed:
         print(f"reach: entry failed: {entry}", file=sys.stderr)
