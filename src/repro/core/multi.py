@@ -27,8 +27,9 @@ from ..control.shedding import ArrivalQueue
 from ..obs import causal as causal_mod
 from ..obs import metrics as obs
 from .engine import QueryEngine
+from .errors import require_finite
 from .queries import InnerProductQuery
-from .swat import QueryAnswer, Swat
+from .swat import QueryAnswer, Swat, extend_trees
 
 if TYPE_CHECKING:
     from ..control.governor import ResourceGovernor
@@ -207,8 +208,13 @@ class StreamEnsemble:
         unknown = set(values) - set(self._trees)
         if unknown:
             raise KeyError(f"unknown streams {sorted(unknown)}")
-        for name, value in values.items():
-            self._trees[name].update(float(value))
+        # Convert and check every value before any tree changes, so a bad
+        # value leaves every window (and the tick clock) where it was.
+        row = {name: float(value) for name, value in values.items()}
+        for value in row.values():
+            require_finite(value)
+        for name, value in row.items():
+            self._trees[name].update(value)
         self._ticks += 1
         self._after_ingest(self._ticks - 1, self._ticks)
 
@@ -216,10 +222,13 @@ class StreamEnsemble:
         """Ingest a block of synchronized ticks given column-wise.
 
         ``columns`` maps every registered stream to an equal-length block of
-        values (tick ``i`` of each block is one synchronized row).  The trees
-        are independent, so each column goes straight through the batched
-        :meth:`Swat.extend` — the natural layout for bulk replay from
-        columnar sources.
+        values (tick ``i`` of each block is one synchronized row).  The
+        columns are stacked once into an ``(S, B)`` block and handed to
+        :func:`~repro.core.swat.extend_trees`, which checks the whole block
+        finite before any tree changes and runs one batched Haar cascade per
+        group of same-shape streams — the natural layout for bulk replay
+        from columnar sources.  Every tree ends bit-identical to feeding
+        its column through :meth:`Swat.update`.
         """
         missing = set(self._trees) - set(columns)
         if missing:
@@ -227,20 +236,17 @@ class StreamEnsemble:
         unknown = set(columns) - set(self._trees)
         if unknown:
             raise KeyError(f"unknown streams {sorted(unknown)}")
-        blocks = {
-            name: np.asarray(col, dtype=np.float64).reshape(-1)
-            for name, col in columns.items()
-        }
-        lengths = {b.size for b in blocks.values()}
-        if len(lengths) > 1:
+        names = list(columns)
+        cols = [np.asarray(columns[name], dtype=np.float64).reshape(-1) for name in names]
+        if len({col.size for col in cols}) > 1:
             raise ValueError(
-                f"column lengths differ: {sorted(len(blocks[n]) for n in sorted(blocks))} "
+                f"column lengths differ: {sorted(col.size for col in cols)} "
                 "— synchronized streams need one value per tick for every stream"
             )
-        n_ticks = int(next(iter(blocks.values())).size) if blocks else 0
-        for name, block in blocks.items():
-            tree = self._trees[name]
-            tree.extend(block)
+        n_ticks = cols[0].size if cols else 0
+        trees = [self._trees[name] for name in names]
+        extend_trees(trees, np.stack(cols) if cols else np.empty((0, 0)))
+        for name, tree in zip(names, trees):
             self.ledger.set(name, tree.nbytes)
         before = self._ticks
         self._ticks += n_ticks

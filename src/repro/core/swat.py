@@ -51,7 +51,7 @@ from .node import Role, SwatNode
 from .plan import QueryPlan, compile_plan, window_indices
 from .queries import InnerProductQuery, RangeQuery
 
-__all__ = ["Swat", "QueryAnswer"]
+__all__ = ["Swat", "QueryAnswer", "extend_trees"]
 
 
 class QueryAnswer:
@@ -373,185 +373,47 @@ class Swat:
     def extend(self, values: Iterable[float]) -> None:
         """Ingest many values in arrival order.
 
-        Haar trees with first-``k`` selection take the vectorized block
-        cascade of :meth:`_extend_batch` — ``O(B log N)`` NumPy work for a
-        block of ``B`` arrivals, bit-identical to replaying :meth:`update`
-        value by value.  Generic wavelets and largest-``k`` trees fall back
-        to the scalar loop, as does a tree still settling after a
-        :meth:`reconfigure` (the batch cascade's inter-block carry assumes
-        an undisturbed shift pipeline).
+        This is :func:`extend_trees` with a group of one tree: the block is
+        checked finite before the tree changes, then a Haar tree with
+        first-``k`` selection takes the vectorized block cascade —
+        ``O(B log N)`` NumPy work for a block of ``B`` arrivals,
+        bit-identical to replaying :meth:`update` value by value.  Generic
+        wavelets and largest-``k`` trees replay the block through
+        :meth:`update`, as does a tree still settling after a
+        :meth:`reconfigure` (the cascade's inter-block carry assumes an
+        undisturbed shift pipeline).
         """
-        if self._is_haar and self.selection == "first" and not self._settling:
-            if isinstance(values, np.ndarray):
-                block = np.asarray(values, dtype=np.float64)
-            else:
-                block = np.asarray(list(values), dtype=np.float64)
-            if block.ndim != 1:
-                raise ValueError(
-                    f"extend expects a flat sequence of values, got shape {block.shape}"
-                )
-            self._extend_batch(block)
-            return
-        for v in values:
+        if isinstance(values, np.ndarray):
+            block = np.asarray(values, dtype=np.float64)
+        else:
+            block = np.asarray(list(values), dtype=np.float64)
+        if block.ndim != 1:
+            raise ValueError(
+                f"extend expects a flat sequence of values, got shape {block.shape}"
+            )
+        extend_trees((self,), block[np.newaxis])
+
+    def _replay(self, values: np.ndarray) -> None:
+        """Scalar Update_Tree over an already validated block (the
+        :func:`extend_trees` path for trees the cascade cannot take)."""
+        for v in values.tolist():
             self.update(v)
 
-    def _extend_batch(self, block: np.ndarray) -> None:
-        """Vectorized Update_Tree over a block of ``B`` arrivals.
-
-        One streaming Haar cascade per block: level ``l``'s refresh outputs
-        inside the block are computed with a single vectorized butterfly
-        over the level below's outputs, and only the last three are
-        materialized into ``L/S/R``.  The first refresh's *older* child may
-        predate the block; it is read from the pre-block ``R`` or ``S``
-        node of the level below (:meth:`_carry_node`) — the tree itself is
-        the inter-block carry state, so blocks of any size compose exactly.
-        Every float operation mirrors the scalar path op for op, so the
-        resulting tree state is bit-identical to a scalar replay.
-        """
-        b = int(block.size)
-        if b == 0:
-            return
-        _t0 = (
-            time.perf_counter()
-            if obs.ENABLED or self.causal is not None
-            else None
-        )
-        require_finite(block)
-        t0 = self._time
-        tend = t0 + b
-        m = self.min_level
-        seg = 1 << (m + 1)
-        track = self.track_deviation
-        # Raw history reachable by in-block level-m refreshes: the ring
-        # buffer then the block.  concat[i] arrived at t0 - n_prev + 1 + i.
-        n_prev = len(self._buffer)
-        if n_prev:
-            concat = np.empty(n_prev + b, dtype=np.float64)
-            concat[:n_prev] = np.fromiter(self._buffer, dtype=np.float64, count=n_prev)
-            concat[n_prev:] = block
-        else:
-            concat = block
-        # (level, first refresh time, coeff rows, deviation rows); a level's
-        # refresh at time t produces contents iff t >= 2^{level+1} (its full
-        # segment has been observed) — earlier refreshes only shift empty
-        # nodes, a content no-op the batch path can skip outright.
-        outputs: List[Tuple[int, int, np.ndarray, Optional[np.ndarray]]] = []
-        first_t = max(seg, ((t0 >> m) + 1) << m)
-        if first_t <= tend:
-            count = ((tend - first_t) >> m) + 1
-            times = first_t + ((1 << m) * np.arange(count, dtype=np.int64))
-            devs: Optional[np.ndarray] = None
-            if m == 0:
-                newer_idx = times - t0 + n_prev - 1
-                newer = concat[newer_idx]
-                older = concat[newer_idx - 1]
-                rows = batch_leaf_coeffs(newer, older, self.k)
-                if track:
-                    devs = np.abs(newer - older) / 2.0
-            else:
-                start_idx = times - seg - t0 + n_prev
-                segs = np.lib.stride_tricks.sliding_window_view(concat, seg)[start_idx]
-                rows = batch_haar_decompose(segs)[:, : min(self.k, seg)].copy()
-                if track:
-                    devs = np.abs(segs - segs.mean(axis=1, keepdims=True)).max(axis=1)
-            outputs.append((m, first_t, rows, devs))
-            for level in range(m + 1, self.n_levels):
-                lstep = 1 << level
-                first = max(lstep << 1, ((t0 >> level) + 1) << level)
-                if first > tend:
-                    break  # first-refresh times only grow with the level
-                count = ((tend - first) >> level) + 1
-                times = first + lstep * np.arange(count, dtype=np.int64)
-                _, prev_first, prev_rows, prev_devs = outputs[-1]
-                newer_idx = (times - prev_first) >> (level - 1)
-                newer_rows = prev_rows[newer_idx]
-                carry_t = first - lstep
-                older_devs: Optional[np.ndarray] = None
-                if carry_t > t0:
-                    older_idx = (times - lstep - prev_first) >> (level - 1)
-                    older_rows = prev_rows[older_idx]
-                    if track:
-                        assert prev_devs is not None
-                        older_devs = prev_devs[older_idx]
-                else:
-                    width = prev_rows.shape[1]
-                    older_rows = np.zeros((count, width), dtype=np.float64)
-                    tail_idx = (times[1:] - lstep - prev_first) >> (level - 1)
-                    older_rows[1:] = prev_rows[tail_idx]
-                    carry = self._carry_node(level - 1, carry_t)
-                    assert carry.coeffs is not None
-                    older_rows[0, : min(carry.coeffs.size, width)] = carry.coeffs[:width]
-                    if track:
-                        assert prev_devs is not None and carry.deviation is not None
-                        older_devs = np.empty(count, dtype=np.float64)
-                        older_devs[1:] = prev_devs[tail_idx]
-                        older_devs[0] = carry.deviation
-                rows = batch_combine_haar(older_rows, newer_rows, self.k)
-                if rows.shape[1] > (1 << (level + 1)):
-                    # Mirror _fresh_right's cap: coefficients past the
-                    # segment length are identically zero.
-                    rows = rows[:, : 1 << (level + 1)].copy()
-                devs = None
-                if track:
-                    assert prev_devs is not None and older_devs is not None
-                    newer_devs = prev_devs[newer_idx]
-                    parent_avg = rows[:, 0] / math.sqrt(1 << (level + 1))
-                    child_scale = math.sqrt(1 << level)
-                    devs = np.maximum(
-                        older_devs + np.abs(older_rows[:, 0] / child_scale - parent_avg),
-                        newer_devs + np.abs(newer_rows[:, 0] / child_scale - parent_avg),
-                    )
-                outputs.append((level, first, rows, devs))
-        self._time = tend
-        self._buffer.extend(block.tolist())
-        for level, first, rows, devs in outputs:
-            lv = self._levels[level]
-            count = rows.shape[0]
-            lstep = 1 << level
-            if Role.SHIFT in lv:
-                # Replaying only the tail of the shift pipeline: with count
-                # in-block refreshes the final L/S are the pre-block S/R
-                # (count == 1), the pre-block R plus the first fresh output
-                # (count == 2), or the third/second-newest fresh outputs.
-                if count == 1:
-                    lv[Role.LEFT].copy_from(lv[Role.SHIFT])
-                    lv[Role.SHIFT].copy_from(lv[Role.RIGHT])
-                elif count == 2:
-                    lv[Role.LEFT].copy_from(lv[Role.RIGHT])
-                    _set_from_batch(lv[Role.SHIFT], rows, devs, 0, first, lstep)
-                else:
-                    _set_from_batch(lv[Role.LEFT], rows, devs, count - 3, first, lstep)
-                    _set_from_batch(lv[Role.SHIFT], rows, devs, count - 2, first, lstep)
-            _set_from_batch(lv[Role.RIGHT], rows, devs, count - 1, first, lstep)
-        if self._check_invariants:
-            contracts.check_swat(self)
-        if obs.ENABLED and _t0 is not None:
-            obs.counter("swat.arrivals").inc(b)
-            shifted = 0
-            for level in range(m, self.n_levels):
-                shifted += (tend >> level) - (t0 >> level)
-            if shifted:
-                obs.counter("swat.levels_shifted").inc(shifted)
-            obs.counter("swat.batches").inc()
-            obs.histogram("swat.batch.latency").observe(time.perf_counter() - _t0)
-        if self.causal is not None and _t0 is not None:
-            self.causal.start_span("swat.extend", at=_t0, site="swat").finish(
-                time.perf_counter(), values=b
-            )
-
-    def _carry_node(self, level: int, end_time: int) -> SwatNode:
-        """Pre-block node of ``level`` whose segment ends at ``end_time``.
+    def _carry_contents(
+        self, level: int, end_time: int
+    ) -> Tuple[np.ndarray, Optional[float]]:
+        """Coefficients and deviation of the pre-block ``level`` node whose
+        segment ends at ``end_time``.
 
         The older half-segment of a block's first level-``l`` refresh
         predates the block by at most one level-``(l-1)`` shift period, so
         it is sitting in the level below's ``R`` or ``S`` node (matched by
         ``end_time``; ``L`` is checked only for defensiveness).
         """
-        lv = self._levels[level]
-        for role in Role.SCAN_ORDER:
-            node = lv.get(role)
-            if node is not None and node.is_filled and node.end_time == end_time:
-                return node
+        for node in self._levels[level].values():  # R, S, L
+            coeffs = node.coeffs
+            if coeffs is not None and node.end_time == end_time:
+                return coeffs, node.deviation
         raise AssertionError(
             f"no level-{level} node ends at t={end_time}; tree state is inconsistent"
         )
@@ -1014,18 +876,212 @@ def _trailing_zeros(t: int) -> int:
     return (t & -t).bit_length() - 1
 
 
-def _set_from_batch(
-    node: SwatNode,
-    rows: np.ndarray,
-    devs: Optional[np.ndarray],
-    i: int,
-    first: int,
-    step: int,
-) -> None:
-    """Materialize batch-cascade output row ``i`` into ``node``."""
-    node.set_contents(
-        rows[i].copy(),
-        first + i * step,
-        None if devs is None else float(devs[i]),
-        None,
-    )
+def extend_trees(trees: Sequence[Swat], block: np.ndarray) -> None:
+    """Ingest row ``i`` of an ``(S, B)`` block into ``trees[i]``, for every ``i``.
+
+    The whole block is checked finite before any tree changes.  Haar trees
+    with first-``k`` selection that are not settling are grouped by shape:
+    window size, ``k``, ``min_level``, deviation tracking, arrival clock
+    and ring-buffer fill.  Each group takes one vectorized cascade
+    (:func:`_cascade`), so every level's refresh outputs for all the
+    group's trees come from one batch Haar call.  The other trees (generic
+    wavelets, largest-``k``, a tree settling after
+    :meth:`Swat.reconfigure`) replay their row through :meth:`Swat.update`.
+    Either way every tree ends bit-identical to a value-by-value
+    :meth:`Swat.update` replay of its row.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or block.shape[0] != len(trees):
+        raise ValueError(
+            f"extend_trees expects a ({len(trees)}, B) block, got shape {block.shape}"
+        )
+    if len({id(tree) for tree in trees}) != len(trees):
+        raise ValueError("extend_trees got the same tree more than once")
+    require_finite(block)
+    if block.shape[1] == 0:
+        return
+    groups: Dict[Tuple[int, int, int, bool, int, int], List[int]] = {}
+    for i, tree in enumerate(trees):
+        if tree._is_haar and tree.selection == "first" and not tree._settling:
+            key = (
+                tree.window_size,
+                tree.k,
+                tree.min_level,
+                tree.track_deviation,
+                tree._time,
+                len(tree._buffer),
+            )
+            groups.setdefault(key, []).append(i)
+        else:
+            tree._replay(block[i])
+    for rows in groups.values():
+        if len(rows) == len(trees):
+            _cascade(trees, block)
+        else:
+            _cascade([trees[i] for i in rows], block[rows])
+
+
+def _cascade(trees: Sequence[Swat], block: np.ndarray) -> None:
+    """Vectorized Update_Tree over a ``(G, B)`` block for ``G`` same-shape trees.
+
+    One streaming Haar cascade per block: level ``l``'s refresh outputs for
+    every tree are computed with a single vectorized butterfly over the
+    level below's outputs, as a ``(G, count, width)`` array, and only each
+    tree's last three are materialized into its ``L/S/R``.  The first
+    refresh's *older* child may predate the block; it is read from each
+    tree's pre-block ``R`` or ``S`` node of the level below
+    (:meth:`Swat._carry_contents`) — each tree is its own inter-block carry
+    state, so blocks of any size compose exactly.  Every float operation
+    mirrors the scalar path op for op, so each tree's resulting state is
+    bit-identical to a scalar replay.  The trees must agree on everything
+    :func:`extend_trees` groups by.
+    """
+    head = trees[0]
+    causal = head.causal
+    _t0 = time.perf_counter() if obs.ENABLED or causal is not None else None
+    g, b = block.shape
+    t0 = head._time
+    tend = t0 + b
+    m = head.min_level
+    k = head.k
+    seg = 1 << (m + 1)
+    track = head.track_deviation
+    # Raw history reachable by in-block level-m refreshes: each tree's ring
+    # buffer then its block row.  concat[:, i] arrived at t0 - n_prev + 1 + i.
+    n_prev = len(head._buffer)
+    if n_prev:
+        concat = np.empty((g, n_prev + b), dtype=np.float64)
+        concat[:, :n_prev] = [tree._buffer for tree in trees]
+        concat[:, n_prev:] = block
+    else:
+        concat = block
+    # (level, first refresh time, (G, count, width) coeff rows, (G, count)
+    # deviations); a level's refresh at time t produces contents iff
+    # t >= 2^{level+1} (its full segment has been observed) — earlier
+    # refreshes only shift empty nodes, a content no-op the cascade skips.
+    # Refresh times at a level step by 2^level, so each level's children
+    # are every other output of the level below: strided views, no copies.
+    outputs: List[Tuple[int, int, np.ndarray, Optional[np.ndarray]]] = []
+    first_t = max(seg, ((t0 >> m) + 1) << m)
+    if first_t <= tend:
+        count = ((tend - first_t) >> m) + 1
+        devs: Optional[np.ndarray] = None
+        if m == 0:
+            lo = first_t - t0 + n_prev - 1  # column of the first newer value
+            newer = concat[:, lo : lo + count]
+            older = concat[:, lo - 1 : lo - 1 + count]
+            rows = batch_leaf_coeffs(newer, older, k)
+            if track:
+                devs = np.abs(newer - older) / 2.0
+        else:
+            lo = first_t - seg - t0 + n_prev  # first column of the first segment
+            stop = lo + ((count - 1) << m) + 1
+            windows = np.lib.stride_tricks.sliding_window_view(concat, seg, axis=1)
+            # One contiguous (G * count, seg) matrix, rows in the order the
+            # scalar path decomposes them.
+            segs = windows[:, lo : stop : 1 << m].reshape(g * count, seg)
+            rows = batch_haar_decompose(segs)[:, : min(k, seg)].reshape(g, count, -1)
+            if track:
+                devs = np.abs(segs - segs.mean(axis=1, keepdims=True)).max(axis=1)
+                devs = devs.reshape(g, count)
+        outputs.append((m, first_t, rows, devs))
+        for level in range(m + 1, head.n_levels):
+            lstep = 1 << level
+            first = max(lstep << 1, ((t0 >> level) + 1) << level)
+            if first > tend:
+                break  # first-refresh times only grow with the level
+            count = ((tend - first) >> level) + 1
+            _, prev_first, prev_rows, prev_devs = outputs[-1]
+            # Output index (level below) of the first refresh's newer child;
+            # its older child sits two outputs earlier.
+            lo = (first - prev_first) >> (level - 1)
+            newer_rows = prev_rows[:, lo : lo + 2 * count - 1 : 2]
+            carry_t = first - lstep
+            older_devs: Optional[np.ndarray] = None
+            if carry_t > t0:
+                older_rows = prev_rows[:, lo - 2 : lo + 2 * count - 3 : 2]
+                if track:
+                    assert prev_devs is not None
+                    older_devs = prev_devs[:, lo - 2 : lo + 2 * count - 3 : 2]
+            else:
+                cols = prev_rows.shape[2]  # coefficients per child row
+                older_rows = np.zeros((g, count, cols), dtype=np.float64)
+                older_rows[:, 1:] = prev_rows[:, lo : lo + 2 * count - 3 : 2]
+                if track:
+                    assert prev_devs is not None
+                    older_devs = np.empty((g, count), dtype=np.float64)
+                    older_devs[:, 1:] = prev_devs[:, lo : lo + 2 * count - 3 : 2]
+                carries = [tree._carry_contents(level - 1, carry_t) for tree in trees]
+                if all(coeffs.size == cols for coeffs, _ in carries):
+                    older_rows[:, 0] = [coeffs for coeffs, _ in carries]
+                else:  # nodes refreshed before reconfigure() raised k
+                    for i, (coeffs, _) in enumerate(carries):
+                        older_rows[i, 0, : min(coeffs.size, cols)] = coeffs[:cols]
+                if older_devs is not None:
+                    older_devs[:, 0] = [deviation for _, deviation in carries]
+            rows = batch_combine_haar(older_rows, newer_rows, k)
+            if rows.shape[2] > (1 << (level + 1)):
+                # Mirror _fresh_right's cap: coefficients past the segment
+                # length are identically zero.
+                rows = rows[:, :, : 1 << (level + 1)]
+            devs = None
+            if track:
+                assert prev_devs is not None and older_devs is not None
+                newer_devs = prev_devs[:, lo : lo + 2 * count - 1 : 2]
+                parent_avg = rows[:, :, 0] / math.sqrt(1 << (level + 1))
+                child_scale = math.sqrt(1 << level)
+                devs = np.maximum(
+                    older_devs + np.abs(older_rows[:, :, 0] / child_scale - parent_avg),
+                    newer_devs + np.abs(newer_rows[:, :, 0] / child_scale - parent_avg),
+                )
+            outputs.append((level, first, rows, devs))
+    for i, tree in enumerate(trees):
+        tree._time = tend
+        # The ring buffer keeps only the newest 2^{m+1} = seg values.
+        tree._buffer.extend(block[i, -seg:].tolist())
+    for level, first, rows, devs in outputs:
+        count = rows.shape[1]
+        lstep = 1 << level
+        right_t = first + (count - 1) * lstep
+        # The last <= 3 outputs are all a level can hold: one copy for the
+        # whole group, and each node keeps a row of it.
+        tail = rows[:, max(count - 3, 0) :].copy()
+        tail_devs: List[List[Optional[float]]] = (
+            [[None] * tail.shape[1]] * g
+            if devs is None
+            else devs[:, max(count - 3, 0) :].tolist()
+        )
+        for lv, out, out_devs in zip(
+            [tree._levels[level] for tree in trees], tail, tail_devs
+        ):
+            if Role.SHIFT in lv:
+                # Replaying only the tail of the shift pipeline: with count
+                # in-block refreshes the final L/S are the pre-block S/R
+                # (count == 1), the pre-block R plus the first fresh output
+                # (count == 2), or the third/second-newest fresh outputs.
+                if count == 1:
+                    lv[Role.LEFT].copy_from(lv[Role.SHIFT])
+                    lv[Role.SHIFT].copy_from(lv[Role.RIGHT])
+                elif count == 2:
+                    lv[Role.LEFT].copy_from(lv[Role.RIGHT])
+                    lv[Role.SHIFT].set_contents(out[0], right_t - lstep, out_devs[0])
+                else:
+                    lv[Role.LEFT].set_contents(out[0], right_t - 2 * lstep, out_devs[0])
+                    lv[Role.SHIFT].set_contents(out[1], right_t - lstep, out_devs[1])
+            lv[Role.RIGHT].set_contents(out[-1], right_t, out_devs[-1])
+    for tree in trees:
+        if tree._check_invariants:
+            contracts.check_swat(tree)
+    if obs.ENABLED and _t0 is not None:
+        obs.counter("swat.arrivals").inc(g * b)
+        shifted = 0
+        for level in range(m, head.n_levels):
+            shifted += (tend >> level) - (t0 >> level)
+        if shifted:
+            obs.counter("swat.levels_shifted").inc(g * shifted)
+        obs.counter("swat.batches").inc()
+        obs.histogram("swat.batch.latency").observe(time.perf_counter() - _t0)
+    if causal is not None and _t0 is not None:
+        causal.start_span("swat.extend", at=_t0, site="swat").finish(
+            time.perf_counter(), values=g * b, trees=g
+        )

@@ -56,7 +56,6 @@ about the degraded state: unsynced pairs and crashed sites are excused
 from __future__ import annotations
 
 import logging
-import math
 import zlib
 from dataclasses import dataclass
 from typing import (
@@ -259,18 +258,16 @@ class _Site:
         check_suspect = self.system.transport.faults is not None
         offered = 0.0
         for seg, indices in by_segment.items():
-            # The row's trusted width: its cached range width, or infinity
-            # for rows this site must not trust — uncached rows and rows last
-            # synced before the site's own most recent crash recovery (a
-            # restarted process knows it restarted; anything older than the
-            # restart may have missed updates, so the query forwards
-            # root-ward for a fresh answer instead).
+            # A row this site must not trust forwards the query root-ward at
+            # once, whatever the precision asked for: uncached rows, and rows
+            # last synced before the site's own most recent crash recovery
+            # (a restarted process knows it restarted; anything older than
+            # the restart may have missed updates, so a fresh answer comes
+            # from upstream instead).
             approx = rows[seg].approx
             if approx is None or (check_suspect and self._suspect(seg)):
-                width = math.inf
-            else:
-                width = approx[1] - approx[0]
-            offered += sum(map(weights.__getitem__, indices)) * width
+                return None
+            offered += sum(map(weights.__getitem__, indices)) * (approx[1] - approx[0])
         if not offered <= query.precision:  # fails closed on nan
             return None
         estimates: Dict[int, float] = {}

@@ -102,54 +102,59 @@ def combine_haar(older: np.ndarray, newer: np.ndarray, k: int) -> np.ndarray:
 
 
 def batch_leaf_coeffs(newer: np.ndarray, older: np.ndarray, k: int = 1) -> np.ndarray:
-    """Vectorized :func:`leaf_coeffs`: row ``i`` summarizes ``(older[i], newer[i])``.
+    """Vectorized :func:`leaf_coeffs`: ``out[..., :]`` summarizes ``(older[...], newer[...])``.
 
-    Performs the same two IEEE operations per pair as the scalar helper, so
-    the result is bit-identical to calling ``leaf_coeffs`` row by row.
+    ``newer`` and ``older`` share one shape; the result appends a
+    coefficient axis to it.  Performs the same two IEEE operations per pair
+    as the scalar helper, so the result is bit-identical to calling
+    ``leaf_coeffs`` pair by pair.
     """
     newer = np.asarray(newer, dtype=np.float64)
     older = np.asarray(older, dtype=np.float64)
     width = max(1, min(k, 2))
-    out = np.empty((newer.size, width), dtype=np.float64)
-    out[:, 0] = (older + newer) / _SQRT2
+    out = np.empty(newer.shape + (width,), dtype=np.float64)
+    out[..., 0] = (older + newer) / _SQRT2
     if width > 1:
-        out[:, 1] = (older - newer) / _SQRT2
+        out[..., 1] = (older - newer) / _SQRT2
     return out
 
 
 def batch_combine_haar(older: np.ndarray, newer: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized :func:`combine_haar`: combine ``M`` child pairs at once.
+    """Vectorized :func:`combine_haar`: combine many child pairs at once.
 
-    ``older`` and ``newer`` are ``(M, w)`` matrices of child coefficient rows
-    (``w <= k``); the result is the ``(M, k)`` matrix whose row ``i`` equals
-    ``combine_haar(older[i], newer[i], k)`` bit-for-bit (the butterfly and
+    ``older`` and ``newer`` are ``(..., M, w)`` arrays of child coefficient
+    rows (``w <= k``) with equal leading shapes; the result is the
+    ``(..., M, k)`` array whose row ``older[j]``/``newer[j]`` maps to
+    ``combine_haar(older[j], newer[j], k)`` bit-for-bit (the butterfly and
     the band copies are the same elementwise operations, applied per column
-    instead of per row).
+    instead of per row).  Strided views are read in place.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     older = np.asarray(older, dtype=np.float64)
     newer = np.asarray(newer, dtype=np.float64)
-    if older.ndim != 2 or newer.ndim != 2 or older.shape[0] != newer.shape[0]:
-        raise ValueError("older/newer must be (M, w) matrices with equal row counts")
-    m = older.shape[0]
-    zeros = np.zeros(m, dtype=np.float64)
-    a_l = older[:, 0] if older.shape[1] else zeros
-    a_r = newer[:, 0] if newer.shape[1] else zeros
-    out = np.zeros((m, k), dtype=np.float64)
-    out[:, 0] = (a_l + a_r) / _SQRT2
+    if older.ndim < 2 or older.shape[:-1] != newer.shape[:-1]:
+        raise ValueError(
+            "older/newer must be (..., M, w) arrays with equal leading shapes"
+        )
+    lead = older.shape[:-1]
+    zeros = np.zeros(lead, dtype=np.float64)
+    a_l = older[..., 0] if older.shape[-1] else zeros
+    a_r = newer[..., 0] if newer.shape[-1] else zeros
+    out = np.zeros(lead + (k,), dtype=np.float64)
+    out[..., 0] = (a_l + a_r) / _SQRT2
     if k >= 2:
-        out[:, 1] = (a_l - a_r) / _SQRT2
+        out[..., 1] = (a_l - a_r) / _SQRT2
     band_start = 2
     while band_start < k:
         child_lo = band_start // 2
         child_hi = band_start
         for child, offset in ((older, 0), (newer, band_start // 2)):
-            src = child[:, child_lo:child_hi]
+            src = child[..., child_lo:child_hi]
             dst_lo = band_start + offset
-            dst_hi = min(dst_lo + src.shape[1], k)
+            dst_hi = min(dst_lo + src.shape[-1], k)
             if dst_hi > dst_lo:
-                out[:, dst_lo:dst_hi] = src[:, : dst_hi - dst_lo]
+                out[..., dst_lo:dst_hi] = src[..., : dst_hi - dst_lo]
         band_start *= 2
     return out
 

@@ -61,17 +61,20 @@ class ReferenceAsr:
         return sum(weights[i] * estimates[i] for i in query.indices)
 
     def _query(self, node, query, by_segment, weights, from_child):
-        """Answer at ``node`` when sum_i W[i] * width(segment(i)) <= delta,
-        else forward the whole query one hop toward the source."""
+        """Answer at ``node`` when every queried segment is cached there and
+        sum_i W[i] * width(segment(i)) <= delta, else forward the whole
+        query one hop toward the source."""
         directory = self.sites[node]
         if node == self.topology.root:  # the source answers exactly
             for seg in by_segment:
                 self._read(directory.row(seg), from_child)
             return {i: self.window[i] for i in query.indices}
+        cached = all(directory.row(seg).is_cached for seg in by_segment)
         offered = 0.0
-        for seg, indices in by_segment.items():
-            offered += sum(weights[i] for i in indices) * directory.row(seg).width
-        if offered <= query.precision:
+        if cached:
+            for seg, indices in by_segment.items():
+                offered += sum(weights[i] for i in indices) * directory.row(seg).width
+        if cached and offered <= query.precision:
             estimates = {}
             for seg, indices in by_segment.items():
                 row = directory.row(seg)

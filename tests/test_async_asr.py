@@ -141,6 +141,27 @@ class TestZeroLatencyEquivalence:
         assert async_.sites["C1"].directory.row(ref.segments[1]).is_cached
 
 
+class TestUncachedRows:
+    def test_infinite_precision_forwards_past_uncached_rows(self):
+        """An uncached row offers no precision at all, so even a query that
+        accepts any error (precision inf, the default) forwards toward the
+        source instead of reading the row."""
+        topo = Topology.complete_binary_tree(6)
+        ref, async_ = ReferenceAsr(topo, 32), AsyncSwatAsr(topo, 32, latency=0.0)
+        values = np.random.default_rng(0).uniform(0.0, 100.0, 32)
+        for v in values:
+            ref.on_data(float(v))
+            async_.on_data(float(v))
+        leaf = topo.clients[-1]
+        for query in (point_query(0), linear_query(8)):
+            assert query.precision == float("inf")
+            got = async_.on_query(leaf, query)
+            assert got == ref.on_query(leaf, query)
+            assert got == pytest.approx(query.evaluate(values[::-1]))
+            assert async_.query_outcomes[-1].served_by == SOURCE
+        assert_same_state(ref, async_)
+
+
 class TestLatencyMeasurement:
     def test_cached_answers_have_zero_latency(self):
         async_ = AsyncSwatAsr(Topology.paper_example(), N, latency=0.5)

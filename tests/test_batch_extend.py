@@ -1,13 +1,16 @@
 """Batched ingest and cached queries: the fast paths must be invisible.
 
-The contract of :meth:`repro.core.swat.Swat.extend`'s batch cascade is
-*bit-identity*: any split of a stream into blocks must leave the tree in
+The contract of the batch cascade (:func:`repro.core.swat.extend_trees`,
+behind :meth:`~repro.core.swat.Swat.extend` and
+:meth:`~repro.core.multi.StreamEnsemble.extend_columns`) is
+*bit-identity*: any split of a stream into blocks must leave each tree in
 exactly the state a value-by-value :meth:`~repro.core.swat.Swat.update`
 replay produces — same coefficient bits, same end times, same deviations,
-same ring buffer.  The properties here drive that across window sizes,
-``k``, reduced trees (``min_level``), deviation tracking, cold starts, and
-arbitrary block boundaries, and pin the query-side caches (node
-reconstruction memoization, vectorized extraction) to the scalar behaviour.
+same ring buffer — whichever trees share its cascade.  The properties here
+drive that across window sizes, ``k``, reduced trees (``min_level``),
+deviation tracking, cold starts, heterogeneous ensembles and arbitrary
+block boundaries, and pin the query-side caches (node reconstruction
+memoization, vectorized extraction) to the scalar behaviour.
 """
 
 import math
@@ -17,10 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import contracts
 from repro.core.coverage import CoverageError
 from repro.core.errors import require_finite
 from repro.core.multi import StreamEnsemble
-from repro.core.swat import Swat
+from repro.core.swat import Swat, extend_trees
 from repro.histogram.prefix import PrefixStats
 from repro.metrics.error import GroundTruthWindow
 from repro.wavelets.haar import (
@@ -137,8 +141,22 @@ class TestBatchEquivalence:
         replay_scalar(other, range(10))
         assert tree_bits(tree) == tree_bits(other)
 
-    def test_extend_rejects_non_finite_blocks_atomically(self):
-        tree = Swat(8)
+    @pytest.mark.parametrize(
+        "shape, settle",
+        [
+            ({}, False),
+            ({"k": 3, "selection": "largest"}, False),
+            ({"k": 2, "wavelet": "db2"}, False),
+            ({}, True),
+        ],
+        ids=["cascade", "largest-k", "db2", "settling"],
+    )
+    def test_extend_rejects_non_finite_atomically(self, shape, settle):
+        tree = Swat(8, **shape)
+        tree.extend(np.arange(20.0))
+        if settle:
+            tree.reconfigure(min_level=1)
+            assert tree.settling  # its blocks replay through update
         before = tree_bits(tree)
         with pytest.raises(ValueError, match="finite"):
             tree.extend([1.0, float("nan"), 2.0])
@@ -167,6 +185,13 @@ class TestBatchEquivalence:
         tree = Swat(16, check_invariants=True)
         tree.extend(np.arange(100.0))  # raises if any block leaves bad state
         assert tree.is_warm
+
+    def test_invariant_contracts_run_on_every_tree_of_a_group(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(contracts, "check_swat", checked.append)
+        trees = [Swat(16, check_invariants=True) for _ in range(3)]
+        extend_trees(trees, np.arange(300.0).reshape(3, 100))
+        assert checked == trees  # once per tree at the block boundary
 
 
 # ---------------------------------------------------------- reconstruction cache
@@ -418,20 +443,97 @@ class TestRequireFinite:
 # ------------------------------------------------------------- ensemble / truth
 
 
+@st.composite
+def ensemble_cases(draw):
+    """A heterogeneous ensemble's life: per-stream shapes set before any
+    data, a stream added after the first block (its own clock), a stream
+    reconfigured after data (it settles and replays through ``update``),
+    and arbitrary block lengths, empty and longer than N included."""
+    n = draw(st.sampled_from([4, 8, 16, 64, 256]))
+    levels = int(math.log2(n))
+    shape = st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=levels - 1),
+    )
+    # Streams draw from a few shapes, so some share a cascade group.
+    pool = st.sampled_from(draw(st.lists(shape, min_size=1, max_size=3)))
+    shapes = draw(st.lists(pool, min_size=1, max_size=5))
+    late_shape = draw(pool)
+    sizes = draw(
+        st.lists(st.integers(min_value=0, max_value=2 * n + 1), min_size=2, max_size=6)
+    )
+    settle_before = draw(st.integers(min_value=1, max_value=len(sizes) - 1))
+    settle_to = draw(st.integers(min_value=0, max_value=levels - 1))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return n, shapes, late_shape, sizes, settle_before, settle_to, seed
+
+
 class TestEnsembleAndTruthBatch:
-    def test_extend_columns_matches_row_updates(self):
-        rng = np.random.default_rng(1)
-        a = StreamEnsemble(16, k=2)
-        b = StreamEnsemble(16, k=2)
-        for ens in (a, b):
-            ens.add_stream("x")
-            ens.add_stream("y")
-        xs, ys = rng.normal(size=40), rng.normal(size=40)
-        for x, y in zip(xs, ys):
-            a.update({"x": float(x), "y": float(y)})
-        b.extend_columns({"x": xs, "y": ys})
-        assert tree_bits(b.tree("x")) == tree_bits(a.tree("x"))
-        assert tree_bits(b.tree("y")) == tree_bits(a.tree("y"))
+    @given(case=ensemble_cases())
+    @settings(max_examples=40)
+    def test_extend_columns_matches_row_updates(self, case):
+        n, shapes, late_shape, sizes, settle_before, settle_to, seed = case
+        rng = np.random.default_rng(seed)
+        ens = StreamEnsemble(n, k=2)
+        lone = {}
+
+        def add(name, k, min_level):
+            ens.add_stream(name)
+            lone[name] = Swat(n, k=2)
+            for tree in (ens.tree(name), lone[name]):
+                tree.reconfigure(k=k, min_level=min_level)
+
+        for i, (k, min_level) in enumerate(shapes):
+            add(f"s{i}", k, min_level)
+        for b, size in enumerate(sizes):
+            if b == 1:
+                add("late", *late_shape)
+            if b == settle_before:
+                for tree in (ens.tree("s0"), lone["s0"]):
+                    tree.reconfigure(min_level=settle_to)
+            columns = {name: rng.normal(size=size) * 100.0 for name in lone}
+            ens.extend_columns(columns)
+            for name, column in columns.items():
+                replay_scalar(lone[name], column)
+        assert ens.ticks == sum(sizes)
+        for name, tree in lone.items():
+            assert tree_bits(ens.tree(name)) == tree_bits(tree), name
+
+    @staticmethod
+    def _filled_ensemble():
+        ens = StreamEnsemble(16, k=2)
+        for name in ("a", "b", "c"):
+            ens.add_stream(name)
+        ens.extend_columns({name: np.arange(40.0) * (i + 1) for i, name in enumerate("abc")})
+        return ens
+
+    def test_extend_columns_rejects_non_finite_blocks_atomically(self):
+        ens = self._filled_ensemble()
+        before = [tree_bits(ens.tree(name)) for name in ens.streams]
+        with pytest.raises(ValueError, match="finite"):
+            ens.extend_columns(
+                {"a": [1.0, 2.0], "b": [3.0, float("nan")], "c": [5.0, 6.0]}
+            )
+        assert [tree_bits(ens.tree(name)) for name in ens.streams] == before
+        assert ens.ticks == 40
+
+    def test_update_rejects_non_finite_ticks_atomically(self):
+        ens = self._filled_ensemble()
+        before = [tree_bits(ens.tree(name)) for name in ens.streams]
+        with pytest.raises(ValueError, match="finite"):
+            ens.update({"a": 1.0, "b": float("inf"), "c": 2.0})
+        assert [tree_bits(ens.tree(name)) for name in ens.streams] == before
+        assert ens.ticks == 40
+
+    def test_extend_trees_validates_block_and_trees(self):
+        a, b = Swat(8), Swat(8)
+        with pytest.raises(ValueError, match=r"\(2, B\) block"):
+            extend_trees([a, b], np.zeros((3, 4)))
+        with pytest.raises(ValueError, match=r"\(2, B\) block"):
+            extend_trees([a, b], np.zeros(4))
+        with pytest.raises(ValueError, match="more than once"):
+            extend_trees([a, a], np.zeros((2, 4)))
+        assert a.time == b.time == 0
 
     def test_extend_columns_validates_lengths_and_names(self):
         ens = StreamEnsemble(8)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import Swat, obs
+from repro.core.multi import StreamEnsemble
 from repro.core.queries import exponential_query, linear_query, point_query
 from repro.network.messages import MessageKind, MessageStats
 from repro.network.topology import Topology
@@ -36,6 +37,21 @@ class TestSwatInstrumentation:
         cover = snap["histograms"]["swat.query.cover_size"]
         assert cover["count"] == 1
         assert cover["max"] == len(ans.nodes_used)
+
+    def test_ensemble_block_counts_one_cascade_per_shape_group(self, obs_registry):
+        """Arrivals and level refreshes keep their per-tree totals; batches
+        count cascades: one for the three k=2 streams, one for the k=1."""
+        ens = StreamEnsemble(32, k=2)
+        for name in ("a", "b", "c", "d"):
+            ens.add_stream(name)
+        ens.tree("d").reconfigure(k=1)
+        ens.extend_columns({name: _stream(40, seed=i) for i, name in enumerate("abcd")})
+        snap = obs_registry.snapshot()
+        assert snap["counters"]["swat.arrivals"] == 4 * 40
+        # Level l refreshes 40 >> l times in 40 arrivals from t=0.
+        assert snap["counters"]["swat.levels_shifted"] == 4 * sum(40 >> level for level in range(5))
+        assert snap["counters"]["swat.batches"] == 2
+        assert snap["histograms"]["swat.batch.latency"]["count"] == 2
 
     def test_extrapolations_counted(self, obs_registry):
         tree = Swat(16, min_level=2)
